@@ -30,7 +30,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use actor::{Actor, StepOutcome, StepResult};
+pub use actor::{Actor, Park, StepOutcome, StepResult, WakeBoard};
 pub use fault::{FaultInjector, FaultStats, LinkShape, NoFaults};
 pub use ids::{ActorId, EventId, LaneId, LpId, NodeId};
 pub use metrics::{EpochMode, MetricsEpoch, MetricsSink, NullMetrics, SyncCause};

@@ -158,7 +158,14 @@ fn main() {
                 scale_label = "bench";
             }
             "--out" => {
-                out_dir = Some(it.next().expect("--out needs a directory").clone());
+                match it.next() {
+                    Some(dir) => out_dir = Some(dir.clone()),
+                    None => {
+                        eprintln!("--out needs a directory");
+                        eprintln!("usage: figures [all | <mode>...] [--paper] [--bench-scale] [--out DIR]");
+                        std::process::exit(2);
+                    }
+                }
             }
             other => selected.push(other.to_string()),
         }

@@ -143,8 +143,10 @@ impl<M: Model> MpiPump<M> {
         for env in in_buf.drain(..) {
             charge += self.mpi_call(now + charge, cost_model.mpi_recv);
             debug_assert_eq!(env.dst_node, self.node, "misrouted remote message");
-            self.nshared.lane_queues[env.dst_lane.index()]
-                .push(now + charge + cost_model.regional_latency, env.tagged);
+            let deliver_at = now + charge + cost_model.regional_latency;
+            if self.nshared.lane_queues[env.dst_lane.index()].push(deliver_at, env.tagged) {
+                self.shared.post_to_lane(self.node, env.dst_lane, deliver_at);
+            }
         }
         self.in_buf = in_buf;
         moved += m as u64;

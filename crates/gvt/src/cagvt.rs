@@ -63,7 +63,7 @@ impl CaGvtBundle {
     ) -> Self {
         assert!((0.0..=1.0).contains(&threshold), "threshold is a ratio, got {threshold}");
         let ca = CaExtra {
-            barrier: TwoLevelReduce::new(spec.nodes, spec.workers_per_node),
+            barrier: TwoLevelReduce::new(Arc::clone(&core), spec.nodes, spec.workers_per_node),
             sync_flag: AtomicBool::new(false),
             armed_cause: AtomicU8::new(0),
             threshold,

@@ -17,12 +17,18 @@
 
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
+use cagvt_core::gvt::GvtSharedCore;
 use cagvt_net::{ClusterCollective, NodeReduce, ReduceValue};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Polled two-level sum/min reduction over the whole cluster.
+///
+/// Publishing a result back to a node is a GVT transition (its workers
+/// poll for it), so it is announced on the GVT core.
 pub struct TwoLevelReduce {
+    core: Arc<GvtSharedCore>,
     node_reduce: Vec<NodeReduce>,
     cluster: ClusterCollective,
     /// Per node: count of cluster generations published back to workers.
@@ -34,8 +40,9 @@ pub struct TwoLevelReduce {
 }
 
 impl TwoLevelReduce {
-    pub fn new(nodes: u16, workers_per_node: u16) -> Self {
+    pub fn new(core: Arc<GvtSharedCore>, nodes: u16, workers_per_node: u16) -> Self {
         TwoLevelReduce {
+            core,
             node_reduce: (0..nodes).map(|_| NodeReduce::new(workers_per_node as u32)).collect(),
             cluster: ClusterCollective::new(nodes as u32),
             published: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
@@ -78,6 +85,7 @@ impl TwoLevelReduce {
         if let Some(v) = self.cluster.try_result(now, pub_gen) {
             self.results[idx].lock()[(pub_gen % 2) as usize] = v;
             self.published[idx].store(pub_gen + 1, Ordering::Release);
+            self.core.transition();
             ops += 1;
         }
         ops
@@ -92,11 +100,7 @@ impl TwoLevelReduce {
 /// having published, so rounds never overlap — starts it. Once
 /// `rounds_started` is bumped, *every* worker observes it, so nobody can
 /// miss a round (which would deadlock the barriers and ring gates).
-pub fn try_join_round(
-    core: &cagvt_core::gvt::GvtSharedCore,
-    rounds_started: &AtomicU64,
-    rounds_done: u64,
-) -> bool {
+pub fn try_join_round(core: &GvtSharedCore, rounds_started: &AtomicU64, rounds_done: u64) -> bool {
     if rounds_started.load(Ordering::Acquire) > rounds_done {
         return true;
     }
@@ -105,7 +109,7 @@ pub fn try_join_round(
             .compare_exchange(rounds_done, rounds_done + 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            core.round_requested.store(false, Ordering::Release);
+            core.clear_request();
             return true;
         }
         // Someone else started it in the same instant.
@@ -117,11 +121,17 @@ pub fn try_join_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_core::stats::SharedStats;
+
+    fn reduce(nodes: u16, wpn: u16) -> TwoLevelReduce {
+        let stats = Arc::new(SharedStats::new(nodes as u32 * wpn as u32));
+        TwoLevelReduce::new(Arc::new(GvtSharedCore::new(stats, nodes, wpn)), nodes, wpn)
+    }
 
     /// Drive a full generation by hand: 2 nodes x 2 workers.
     #[test]
     fn full_generation_flows_through_both_levels() {
-        let r = TwoLevelReduce::new(2, 2);
+        let r = reduce(2, 2);
         let lat = WallNs(1_000);
 
         let g = r.arrive(NodeId(0), 1, 100);
@@ -148,7 +158,7 @@ mod tests {
 
     #[test]
     fn consecutive_generations_double_buffer() {
-        let r = TwoLevelReduce::new(1, 1);
+        let r = reduce(1, 1);
         let lat = WallNs(10);
         // Pump with an advancing clock until the generation publishes
         // (relay and visibility take separate pump calls).
@@ -170,7 +180,7 @@ mod tests {
 
     #[test]
     fn pump_is_idempotent_when_nothing_pending() {
-        let r = TwoLevelReduce::new(2, 1);
+        let r = reduce(2, 1);
         assert_eq!(r.pump(NodeId(0), WallNs(0), WallNs(10)), 0);
         assert_eq!(r.pump(NodeId(1), WallNs(0), WallNs(10)), 0);
     }

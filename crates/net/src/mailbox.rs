@@ -37,10 +37,15 @@ impl<T> Mailbox<T> {
         Mailbox { q: Mutex::new(VecDeque::new()), len: AtomicUsize::new(0) }
     }
 
-    /// Enqueue a message that becomes observable at `deliver_at`.
-    pub fn push(&self, deliver_at: WallNs, payload: T) {
-        self.q.lock().push_back(NetMsg::new(deliver_at, payload));
+    /// Enqueue a message that becomes observable at `deliver_at`. Returns
+    /// whether the queue was empty, i.e. the message is the new head: only
+    /// then does [`Self::head_deliver_at`] change.
+    pub fn push(&self, deliver_at: WallNs, payload: T) -> bool {
+        let mut q = self.q.lock();
+        let was_empty = q.is_empty();
+        q.push_back(NetMsg::new(deliver_at, payload));
         self.len.fetch_add(1, Ordering::Relaxed);
+        was_empty
     }
 
     /// Pop the head if it is observable at `now`.
@@ -90,7 +95,8 @@ impl<T> Mailbox<T> {
     }
 
     /// `deliver_at` of the head message, if any. Lets an otherwise-idle
-    /// consumer report how long it will stay idle.
+    /// consumer report how long it will stay idle: nothing can be popped
+    /// before it, whatever is pushed behind it.
     pub fn head_deliver_at(&self) -> Option<WallNs> {
         self.q.lock().front().map(|m| m.deliver_at)
     }
@@ -144,7 +150,8 @@ mod tests {
     fn head_deliver_at_reports_wakeup_hint() {
         let mb = Mailbox::new();
         assert_eq!(mb.head_deliver_at(), None);
-        mb.push(WallNs(42), ());
+        assert!(mb.push(WallNs(42), ()), "push onto an empty queue sets the head");
+        assert!(!mb.push(WallNs(7), ()), "a push behind the head leaves it");
         assert_eq!(mb.head_deliver_at(), Some(WallNs(42)));
     }
 
