@@ -20,9 +20,12 @@
 //! * [`metrics`] — the [`MetricsSink`] per-GVT-epoch observation hook and
 //!   the [`MetricsEpoch`] record (the registry, exporters and health rules
 //!   live in `cagvt-metrics`).
+//! * [`Hooks`] — the fault, trace and metrics hooks of one run, in one
+//!   value.
 
 pub mod actor;
 pub mod fault;
+pub mod hooks;
 pub mod ids;
 pub mod metrics;
 pub mod rng;
@@ -32,9 +35,10 @@ pub mod trace;
 
 pub use actor::{Actor, Park, StepOutcome, StepResult, WakeBoard};
 pub use fault::{FaultInjector, FaultStats, LinkShape, NoFaults};
+pub use hooks::Hooks;
 pub use ids::{ActorId, EventId, LaneId, LpId, NodeId};
 pub use metrics::{EpochMode, MetricsEpoch, MetricsSink, NullMetrics, SyncCause};
 pub use rng::{Pcg32, SplitMix64};
-pub use stats::Welford;
+pub use stats::{HorizonSample, Welford};
 pub use time::{VirtualTime, WallNs};
 pub use trace::{GvtPhaseKind, NullTrace, StderrSink, TraceRecord, TraceSink, Track};

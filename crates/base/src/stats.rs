@@ -3,7 +3,8 @@
 //! The paper reports committed event rate, efficiency, rollback counts, and
 //! an "LVT disparity" metric: the standard deviation of worker LVTs sampled
 //! at each GVT round, averaged over rounds. [`Welford`] provides the
-//! numerically stable single-pass mean/variance behind these.
+//! numerically stable single-pass mean/variance behind these, and
+//! [`HorizonSample`] is the one per-round LVT snapshot they come from.
 
 /// Welford's online mean/variance accumulator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -72,6 +73,46 @@ impl Welford {
         let mean = self.mean + delta * other.n as f64 / n as f64;
         let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
         *self = Welford { n, mean, m2 };
+    }
+}
+
+/// One snapshot of the virtual-time horizon: the finite per-worker LVTs of
+/// one GVT round. `roughness` is their population std-dev (the paper's §4
+/// LVT disparity, the Korniss et al. roughness) and `width` is `max − min`
+/// (the Kolakowska–Novotny width). Every statistic is 0 when no value is
+/// finite.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct HorizonSample {
+    /// Finite values in the snapshot.
+    pub samples: u32,
+    pub mean: f64,
+    pub roughness: f64,
+    pub min: f64,
+    pub max: f64,
+    pub width: f64,
+}
+
+impl HorizonSample {
+    /// Welford over the finite `values` in order; the rest are skipped.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
+        let mut w = Welford::new();
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for x in values.into_iter().filter(|x| x.is_finite()) {
+            w.push(x);
+            min = min.min(x);
+            max = max.max(x);
+        }
+        if w.count() == 0 {
+            return HorizonSample::default();
+        }
+        HorizonSample {
+            samples: w.count() as u32,
+            mean: w.mean(),
+            roughness: w.std_dev(),
+            min,
+            max,
+            width: max - min,
+        }
     }
 }
 
@@ -187,6 +228,41 @@ mod tests {
         c.merge(&a);
         assert_eq!(c.count(), 2);
         assert!((c.mean() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn horizon_sample_uses_population_std_dev() {
+        let h = HorizonSample::of([2.0, 4.0, 4.0, 6.0]);
+        assert_eq!(h.samples, 4);
+        assert_eq!(h.mean, 4.0);
+        // Deviations [-2,0,0,2] -> variance 2 -> std ~1.414.
+        assert!((h.roughness - 2.0_f64.sqrt()).abs() < 1e-12);
+        assert_eq!((h.min, h.max, h.width), (2.0, 6.0, 4.0));
+    }
+
+    #[test]
+    fn horizon_sample_with_no_finite_value_is_zero() {
+        // All workers idle at infinite LVT: roughness and width collapse to
+        // 0 rather than going negative or NaN.
+        let h = HorizonSample::of([f64::INFINITY; 3]);
+        assert_eq!(h, HorizonSample::default());
+        assert_eq!((h.samples, h.mean, h.roughness, h.width), (0, 0.0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn horizon_sample_of_one_worker_has_zero_width() {
+        let h = HorizonSample::of([7.5]);
+        assert_eq!((h.samples, h.mean, h.roughness, h.width), (1, 7.5, 0.0, 0.0));
+    }
+
+    #[test]
+    fn horizon_sample_skips_infinite_values_in_mixed_rounds() {
+        // {2, inf, 6, inf}: only the finite pair contributes, so the width
+        // is 4 and the std-dev is that of {2, 6} = 2.
+        let h = HorizonSample::of([2.0, f64::INFINITY, 6.0, f64::INFINITY]);
+        assert_eq!(h.samples, 2);
+        assert!((h.roughness - 2.0).abs() < 1e-12);
+        assert_eq!(h.width, 4.0);
     }
 
     #[test]

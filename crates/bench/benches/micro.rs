@@ -5,8 +5,8 @@
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::{VirtualTime, WallNs};
-use cagvt_base::{NullMetrics, NullTrace};
-use cagvt_bench::{base_config, run_one, run_one_observed, run_one_traced, Scale};
+use cagvt_base::{Hooks, NullMetrics, NullTrace};
+use cagvt_bench::{base_config, run_one, run_one_with, Scale};
 use cagvt_core::event::Event;
 use cagvt_core::queue::PendingSet;
 use cagvt_gvt::GvtKind;
@@ -156,10 +156,8 @@ fn trace_overhead(c: &mut Criterion) {
     let run = |trace: Option<Arc<dyn cagvt_base::TraceSink>>| {
         let cfg = base_config(2, MpiMode::Dedicated, 25, &scale);
         let workload = cagvt_models::presets::comm_dominated(&cfg);
-        match trace {
-            None => run_one(cagvt_gvt::GvtKind::Mattern, &workload, cfg),
-            Some(t) => run_one_traced(cagvt_gvt::GvtKind::Mattern, &workload, cfg, t),
-        }
+        let hooks = Hooks { trace, ..Default::default() };
+        run_one_with(cagvt_gvt::GvtKind::Mattern, &workload, cfg, hooks)
     };
     group.bench_function("no_sink", |b| b.iter(|| run(None)));
     group.bench_function("null_sink", |b| b.iter(|| run(Some(Arc::new(NullTrace)))));
@@ -180,10 +178,8 @@ fn metrics_overhead(c: &mut Criterion) {
     let run = |metrics: Option<Arc<dyn cagvt_base::MetricsSink>>| {
         let cfg = base_config(2, MpiMode::Dedicated, 25, &scale);
         let workload = cagvt_models::presets::comm_dominated(&cfg);
-        match metrics {
-            None => run_one(cagvt_gvt::GvtKind::Mattern, &workload, cfg),
-            Some(m) => run_one_observed(cagvt_gvt::GvtKind::Mattern, &workload, cfg, None, m),
-        }
+        let hooks = Hooks { metrics, ..Default::default() };
+        run_one_with(cagvt_gvt::GvtKind::Mattern, &workload, cfg, hooks)
     };
     group.bench_function("no_sink", |b| b.iter(|| run(None)));
     group.bench_function("null_sink", |b| b.iter(|| run(Some(Arc::new(NullMetrics)))));

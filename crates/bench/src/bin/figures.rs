@@ -6,7 +6,7 @@
 //! figures gate [DIR | SUMMARY BASELINE]
 //! ```
 //!
-//! Run with an unknown mode name to print the full mode list. Default
+//! An unknown mode name prints the full mode list and runs nothing. Default
 //! scale keeps the paper's 60-workers-per-node shape with a reduced LP
 //! count and horizon; `--paper` runs the full 128-LPs-per-worker geometry
 //! (slow). Rows print to stdout; with `--out DIR` each figure is
@@ -24,12 +24,13 @@ use cagvt_bench::bench_summary::{
 };
 use cagvt_bench::{
     base_config, ca_queue, epg_sweep, fault_sweep, fig10, fig11, fig12, fig3, fig4, fig5, fig6,
-    fig8, fig9, interval_sweep, mpi_modes, run_one, samadi, stats_table, sweep_threads,
-    threshold_sweep, Row, Scale,
+    fig8, fig9, health_experiment, interval_sweep, mpi_modes, run_one, samadi, stats_table,
+    sweep_threads, threshold_sweep, trace_experiment, Row, Scale,
 };
 use cagvt_models::presets::comm_dominated;
 use cagvt_net::MpiMode;
 use std::io::Write;
+use std::path::Path;
 
 fn ca_trace(scale: &Scale) -> Vec<Row> {
     // §6 text: CA-GVT's sync/async mode trace on the communication-
@@ -53,45 +54,39 @@ struct Mode {
     name: &'static str,
     /// Included in the default run and in `all` (ablations stay opt-in).
     core: bool,
-    run: fn(&Scale) -> Vec<Row>,
+    /// Runs the mode at a scale; modes with exporters also write their
+    /// files to the `--out` directory.
+    run: fn(&Scale, Option<&Path>) -> Vec<Row>,
 }
 
 /// The single source of truth for every mode the binary knows: the
 /// dispatcher, the `all` expansion and the unknown-mode listing all read
 /// this table.
 const MODES: &[Mode] = &[
-    Mode { name: "fig3", core: true, run: fig3 },
-    Mode { name: "fig4", core: true, run: fig4 },
-    Mode { name: "fig5", core: true, run: fig5 },
-    Mode { name: "fig6", core: true, run: fig6 },
-    Mode { name: "fig8", core: true, run: fig8 },
-    Mode { name: "fig9", core: true, run: fig9 },
-    Mode { name: "fig10", core: true, run: fig10 },
-    Mode { name: "fig11", core: true, run: fig11 },
-    Mode { name: "fig12", core: true, run: fig12 },
-    Mode { name: "stats", core: true, run: stats_table },
-    Mode { name: "epg-sweep", core: true, run: epg_sweep },
-    Mode { name: "ca-trace", core: true, run: ca_trace },
-    Mode { name: "threshold-sweep", core: false, run: threshold_sweep },
-    Mode { name: "ca-queue", core: false, run: ca_queue },
-    Mode { name: "samadi", core: false, run: samadi },
-    Mode { name: "interval-sweep", core: false, run: interval_sweep },
-    Mode { name: "mpi-modes", core: false, run: mpi_modes },
-    Mode { name: "faults", core: false, run: fault_sweep },
+    Mode { name: "fig3", core: true, run: |s, _| fig3(s) },
+    Mode { name: "fig4", core: true, run: |s, _| fig4(s) },
+    Mode { name: "fig5", core: true, run: |s, _| fig5(s) },
+    Mode { name: "fig6", core: true, run: |s, _| fig6(s) },
+    Mode { name: "fig8", core: true, run: |s, _| fig8(s) },
+    Mode { name: "fig9", core: true, run: |s, _| fig9(s) },
+    Mode { name: "fig10", core: true, run: |s, _| fig10(s) },
+    Mode { name: "fig11", core: true, run: |s, _| fig11(s) },
+    Mode { name: "fig12", core: true, run: |s, _| fig12(s) },
+    Mode { name: "stats", core: true, run: |s, _| stats_table(s) },
+    Mode { name: "epg-sweep", core: true, run: |s, _| epg_sweep(s) },
+    Mode { name: "ca-trace", core: true, run: |s, _| ca_trace(s) },
+    Mode { name: "threshold-sweep", core: false, run: |s, _| threshold_sweep(s) },
+    Mode { name: "ca-queue", core: false, run: |s, _| ca_queue(s) },
+    Mode { name: "samadi", core: false, run: |s, _| samadi(s) },
+    Mode { name: "interval-sweep", core: false, run: |s, _| interval_sweep(s) },
+    Mode { name: "mpi-modes", core: false, run: |s, _| mpi_modes(s) },
+    Mode { name: "faults", core: false, run: |s, _| fault_sweep(s) },
+    Mode { name: "trace", core: false, run: trace_experiment },
+    Mode { name: "health", core: false, run: health_experiment },
 ];
 
 fn find_mode(name: &str) -> Option<&'static Mode> {
     MODES.iter().find(|m| m.name == name)
-}
-
-fn mode_list() -> String {
-    let mut names: Vec<&str> = MODES.iter().map(|m| m.name).collect();
-    // `trace` and `health` need the output directory, so they dispatch
-    // outside the MODES table (see main) but are first-class modes to the
-    // user.
-    names.push("trace");
-    names.push("health");
-    names.join(" ")
 }
 
 fn main() {
@@ -186,44 +181,45 @@ fn main() {
         }
     }
 
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create output directory");
+    // Every mode is checked before any runs.
+    let mut modes = Vec::with_capacity(selected.len());
+    for name in &selected {
+        let Some(mode) = find_mode(name) else {
+            eprintln!("unknown experiment: {name}");
+            let names: Vec<&str> = MODES.iter().map(|m| m.name).collect();
+            eprintln!("available modes: all {}", names.join(" "));
+            std::process::exit(2);
+        };
+        modes.push(mode);
+    }
+    let out = out_dir.as_deref().map(Path::new);
+    if let Some(dir) = out {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create output directory {}: {e}", dir.display());
+            std::process::exit(1);
+        }
     }
 
     let threads = sweep_threads();
-    let summary_dir = out_dir.clone().map(std::path::PathBuf::from).unwrap_or_else(|| ".".into());
+    let summary_dir = out.unwrap_or(Path::new("."));
     let mut summary = BenchSummary::new(scale_label, threads);
-    summary.load_baseline(&summary_dir);
+    summary.load_baseline(summary_dir);
     eprintln!("# sweep threads: {threads}");
 
     println!("{}", Row::csv_header());
-    for name in &selected {
+    for mode in modes {
+        let name = mode.name;
         let t0 = std::time::Instant::now();
-        let rows = if name == "trace" {
-            // Dispatched outside the MODES table: the exporters write
-            // per-algorithm Chrome traces and the horizon CSV to --out.
-            cagvt_bench::trace_experiment(&scale, out_dir.as_deref().map(std::path::Path::new))
-        } else if name == "health" {
-            // Likewise: writes per-series epoch CSV/JSONL/Prometheus
-            // telemetry to --out and runs the health rules over it.
-            cagvt_bench::health_experiment(&scale, out_dir.as_deref().map(std::path::Path::new))
-        } else {
-            let Some(mode) = find_mode(name) else {
-                eprintln!("unknown experiment: {name}");
-                eprintln!("available modes: all {}", mode_list());
-                std::process::exit(2);
-            };
-            (mode.run)(&scale)
-        };
+        let rows = (mode.run)(&scale, out);
         let wall_s = t0.elapsed().as_secs_f64();
         for row in &rows {
             println!("{}", row.csv());
         }
         eprintln!("# {name}: {} rows in {wall_s:.1}s", rows.len());
         summary.push(FigureBench::from_rows(name, wall_s, &rows));
-        if let Some(dir) = &out_dir {
-            let path = format!("{dir}/{name}.csv");
-            let mut f = std::fs::File::create(&path).expect("create figure csv");
+        if let Some(dir) = out {
+            let mut f =
+                std::fs::File::create(dir.join(format!("{name}.csv"))).expect("create figure csv");
             writeln!(f, "{}", Row::csv_header()).unwrap();
             for row in &rows {
                 writeln!(f, "{}", row.csv()).unwrap();

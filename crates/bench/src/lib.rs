@@ -20,8 +20,8 @@ pub mod summary;
 
 pub use runner::{execute, execute_with, sweep_threads, RunSpec, THREADS_ENV};
 
-use cagvt_base::metrics::{EpochMode, MetricsEpoch, MetricsSink};
-use cagvt_base::{FaultInjector, NodeId, TraceSink, WallNs};
+use cagvt_base::metrics::{EpochMode, MetricsEpoch};
+use cagvt_base::{FaultInjector, Hooks, NodeId, WallNs};
 use cagvt_core::cluster::run_virtual_with;
 use cagvt_core::{RunReport, SimConfig};
 use cagvt_exec::VirtualConfig;
@@ -91,47 +91,16 @@ fn scheduler_valves() -> VirtualConfig {
 
 /// Run one `(algorithm, workload, topology)` combination.
 pub fn run_one(kind: GvtKind, workload: &Workload, cfg: SimConfig) -> RunReport {
-    run_one_faulted(kind, workload, cfg, None)
+    run_one_with(kind, workload, cfg, Hooks::default())
 }
 
-/// [`run_one`] on a perturbed cluster: the injector shapes actor costs,
-/// link traffic and MPI pumps across every layer of the run.
-pub fn run_one_faulted(
-    kind: GvtKind,
-    workload: &Workload,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-) -> RunReport {
+/// [`run_one`] with `hooks` installed: a fault injector shapes actor
+/// costs, link traffic and MPI pumps across every layer of the run; a
+/// trace sink observes every instrumented layer; a metrics sink receives
+/// one [`MetricsEpoch`] per GVT round.
+pub fn run_one_with(kind: GvtKind, workload: &Workload, cfg: SimConfig, hooks: Hooks) -> RunReport {
     let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig { faults, ..scheduler_valves() };
-    run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
-}
-
-/// [`run_one`] with a trace sink observing every instrumented layer
-/// (workers, GVT algorithms, the MPI fabric and the scheduler).
-pub fn run_one_traced(
-    kind: GvtKind,
-    workload: &Workload,
-    cfg: SimConfig,
-    trace: Arc<dyn TraceSink>,
-) -> RunReport {
-    let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig { trace: Some(trace), ..scheduler_valves() };
-    run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
-}
-
-/// [`run_one`] with a metrics sink receiving one [`MetricsEpoch`] per GVT
-/// round, optionally on a perturbed cluster (the health experiment runs
-/// both arms of that cross).
-pub fn run_one_observed(
-    kind: GvtKind,
-    workload: &Workload,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-    metrics: Arc<dyn MetricsSink>,
-) -> RunReport {
-    let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig { faults, metrics: Some(metrics), ..scheduler_valves() };
+    let vcfg = VirtualConfig { hooks, ..scheduler_valves() };
     run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
 }
 
@@ -499,7 +468,8 @@ pub fn fault_sweep(scale: &Scale) -> Vec<Row> {
                 move || {
                     let cfg = base_config(nodes, mode, 25, &scale);
                     let faults = make_faults(severity, topology, scale.seed ^ 0xFA17, span);
-                    run_one_faulted(kind, &comm_dominated(&cfg), cfg, faults)
+                    let hooks = Hooks { faults, ..Default::default() };
+                    run_one_with(kind, &comm_dominated(&cfg), cfg, hooks)
                 },
             ));
         }
@@ -529,7 +499,8 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec
             let cfg = base_config(nodes, mode, 25, &scale);
             let workload = comm_dominated(&cfg);
             let recorder = TraceRecorder::new();
-            let report = run_one_traced(kind, &workload, cfg, recorder.clone());
+            let hooks = Hooks { trace: Some(recorder.clone()), ..Default::default() };
+            let report = run_one_with(kind, &workload, cfg, hooks);
             let events = recorder.snapshot();
             (report, events, recorder.recorded(), recorder.dropped(), cfg.spec.workers_per_node)
         }));
@@ -537,8 +508,7 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec
     let runs = runner::par_map(jobs, sweep_threads());
 
     let mut rows = Vec::new();
-    let mut horizon =
-        String::from("algorithm,round,t_ns,gvt,mean_lvt,width,roughness,utilization,samples\n");
+    let mut horizon = String::new();
     for (&(_, _, series), (report, events, recorded, dropped, workers_per_node)) in
         THREE_ALGORITHMS.iter().zip(runs)
     {
@@ -550,12 +520,15 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec
             stats.mean_width,
             stats.mean_utilization,
         );
-        for r in &stats.rounds {
-            let util = r.utilization.map(|u| format!("{u:.6}")).unwrap_or_default();
-            horizon.push_str(&format!(
-                "{series},{},{},{},{},{},{},{},{}\n",
-                r.round, r.t_ns, r.gvt, r.mean_lvt, r.width, r.roughness, util, r.samples
-            ));
+        // The per-algorithm horizon CSV, each line prefixed with the
+        // algorithm (the header once).
+        let csv = stats.to_csv();
+        let (header, body) = csv.split_once('\n').expect("horizon csv has a header line");
+        if horizon.is_empty() {
+            horizon = format!("algorithm,{header}\n");
+        }
+        for row in body.lines() {
+            horizon.push_str(&format!("{series},{row}\n"));
         }
         if let Some(dir) = out_dir {
             let meta = TraceMeta { nodes, workers_per_node };
@@ -640,7 +613,8 @@ pub fn health_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Ve
                 }
                 let registry = Arc::new(registry);
                 let faults = straggled.then(|| health_straggle_injector(topology, span));
-                let report = run_one_observed(kind, &workload, cfg, faults, registry.clone());
+                let hooks = Hooks { faults, metrics: Some(registry.clone()), ..Default::default() };
+                let report = run_one_with(kind, &workload, cfg, hooks);
                 let epochs = registry.epochs();
                 (report, epochs)
             }));
@@ -700,6 +674,7 @@ pub fn mpi_modes(scale: &Scale) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_core::report::{efficiency_of, safe_rate};
 
     #[test]
     fn base_config_respects_scale() {
@@ -721,5 +696,63 @@ mod tests {
         let row = Row { figure: "test", series: "s".into(), nodes: 1, report };
         let fields = row.csv().split(',').count();
         assert_eq!(fields, Row::csv_header().split(',').count());
+    }
+
+    /// A row of `report` (the degenerate corners below build theirs with
+    /// the report's own rate helpers, as `RunReport::assemble` does).
+    fn row_of(committed: u64, rolled_back: u64, sim_seconds: f64) -> Row {
+        let committed_rate = safe_rate(committed as f64, sim_seconds);
+        let report = RunReport {
+            committed,
+            processed: committed + rolled_back,
+            rolled_back,
+            sim_seconds,
+            committed_rate,
+            steady_rate: committed_rate,
+            efficiency: efficiency_of(committed, rolled_back),
+            ..Default::default()
+        };
+        Row { figure: "test", series: "s".into(), nodes: 1, report }
+    }
+
+    /// Every field of `row` parses as finite where it parses as a number,
+    /// and the row has the header's field count.
+    fn assert_no_nan(row: &Row) {
+        let csv = row.csv();
+        assert_eq!(csv.split(',').count(), Row::csv_header().split(',').count());
+        assert!(!csv.contains("NaN") && !csv.contains("inf"), "degenerate row leaked: {csv}");
+        for field in csv.split(',') {
+            if let Ok(v) = field.parse::<f64>() {
+                assert!(v.is_finite(), "non-finite field {field:?} in {csv}");
+            }
+        }
+    }
+
+    /// A run that committed nothing in zero simulated time (the degenerate
+    /// corner a mis-scaled config can produce) must never leak NaN into a
+    /// figure CSV through any rate column.
+    #[test]
+    fn zero_makespan_row_has_no_nan_columns() {
+        let row = row_of(0, 0, 0.0);
+        assert_eq!(row.report.committed_rate, 0.0);
+        assert_eq!(row.report.efficiency, 1.0);
+        assert_no_nan(&row);
+    }
+
+    /// Zero committed events over a positive makespan: rates are zero,
+    /// efficiency reflects the rolled-back share, nothing is NaN.
+    #[test]
+    fn zero_committed_row_has_finite_rates() {
+        let row = row_of(0, 10, 1.0);
+        assert_eq!(row.report.committed_rate, 0.0);
+        assert_eq!(row.report.efficiency, 0.0);
+        assert_no_nan(&row);
+    }
+
+    #[test]
+    fn health_alerts_column_counts_alerts() {
+        let mut row = row_of(90, 10, 1.0);
+        row.report.health = vec!["straggler: worker 3".into(), "efficiency-collapse".into()];
+        assert!(row.csv().ends_with(",2"), "{}", row.csv());
     }
 }

@@ -1,5 +1,6 @@
 //! Command-line errors of the `figures` binary: bad input is a usage error
-//! with exit code 2, never a panic.
+//! with exit code 2, an unusable output directory an error with exit code
+//! 1, never a panic, and either stops the run before any mode runs.
 
 use std::process::Command;
 
@@ -25,4 +26,28 @@ fn unknown_mode_lists_the_modes() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown experiment: no-such-mode"), "{stderr}");
     assert!(stderr.contains("fig3") && stderr.contains("health"), "{stderr}");
+}
+
+#[test]
+fn an_unknown_mode_stops_the_run_before_any_mode_runs() {
+    let out = figures(&["fig3", "nosuch", "--bench-scale"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment: nosuch"), "{stderr}");
+    assert!(!stderr.contains("# fig3:"), "fig3 ran before the error: {stderr}");
+    assert!(out.stdout.is_empty(), "no rows before the usage error");
+}
+
+#[test]
+fn an_uncreatable_out_directory_is_an_error() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures-cli-not-a-dir");
+    std::fs::write(&file, "").expect("write a plain file");
+    let dir = file.join("out");
+    let out = figures(&["fig3", "--bench-scale", "--out", dir.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot create output directory"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("# fig3:"), "fig3 ran before the error: {stderr}");
+    assert!(out.stdout.is_empty(), "no rows before the error");
 }

@@ -1,13 +1,11 @@
 //! Cluster construction and the virtual-run driver.
 
 use cagvt_base::actor::Actor;
-use cagvt_base::fault::FaultInjector;
+use cagvt_base::hooks::Hooks;
 use cagvt_base::ids::{ActorId, EventId, LaneId, LpId, NodeId};
-use cagvt_base::metrics::MetricsSink;
 use cagvt_base::time::VirtualTime;
-use cagvt_base::trace::TraceSink;
 use cagvt_exec::{VirtualConfig, VirtualScheduler};
-use cagvt_net::{fabric_pair_traced, MpiMode};
+use cagvt_net::{fabric_pair, MpiMode};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
@@ -31,63 +29,36 @@ pub struct ClusterHandles<M: Model> {
 /// built on top by [`build_cluster`]; exposed separately so GVT bundle
 /// factories can be handed the shared state first).
 pub fn build_shared<M: Model>(model: Arc<M>, cfg: SimConfig) -> Arc<EngineShared<M>> {
-    build_shared_faulted(model, cfg, None)
+    build_shared_with(model, cfg, Hooks::default())
 }
 
-/// [`build_shared`] with a fault injector installed: the fabric shapes
-/// every inter-node message through it and the MPI pumps consult it for
-/// stall windows.
-pub fn build_shared_faulted<M: Model>(
-    model: Arc<M>,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-) -> Arc<EngineShared<M>> {
-    build_shared_traced(model, cfg, faults, None)
-}
-
-/// [`build_shared_faulted`] with a trace sink installed on every
-/// instrumented layer (workers and GVT algorithms via `GvtSharedCore`, the
-/// event fabric's inbox sampling). When `trace` is `None` the
+/// [`build_shared`] with `hooks` installed on every layer: the fabric
+/// shapes every inter-node message through `hooks.faults` and the MPI pumps
+/// consult it for stall windows; workers, GVT algorithms and the event
+/// fabric record to `hooks.trace`; each completed GVT round publishes one
+/// [`MetricsEpoch`] to `hooks.metrics` (see
+/// `GvtSharedCore::publish_epoch`). Observation never charges virtual time
+/// and a disabled sink costs one branch. When `hooks.trace` is `None` the
 /// `CAGVT_TRACE` environment variable can still enable a filtered stderr
 /// sink (`<lp>:<seq>` for one event's lifecycle, `all` for everything).
-pub fn build_shared_traced<M: Model>(
-    model: Arc<M>,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-    trace: Option<Arc<dyn TraceSink>>,
-) -> Arc<EngineShared<M>> {
-    build_shared_observed(model, cfg, faults, trace, None)
-}
-
-/// [`build_shared_traced`] with a metrics sink installed on the GVT core:
-/// each completed GVT round publishes one windowed [`MetricsEpoch`] to it
-/// (see `GvtSharedCore::publish_epoch`). Like tracing, metrics observation
-/// never charges virtual time and a disabled sink costs one branch.
 ///
 /// [`MetricsEpoch`]: cagvt_base::metrics::MetricsEpoch
-pub fn build_shared_observed<M: Model>(
+pub fn build_shared_with<M: Model>(
     model: Arc<M>,
     cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-    trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<dyn MetricsSink>>,
+    mut hooks: Hooks,
 ) -> Arc<EngineShared<M>> {
     cfg.validate();
-    let trace = trace.or_else(cagvt_base::trace::env_sink);
+    hooks.trace = hooks.trace.or_else(cagvt_base::trace::env_sink);
     let spec = cfg.spec;
     let stats = Arc::new(SharedStats::new(spec.total_workers()));
-    let gvt_core = Arc::new(GvtSharedCore::with_observers(
-        Arc::clone(&stats),
-        spec.nodes,
-        spec.workers_per_node,
-        trace.clone(),
-        metrics,
-    ));
-    let (fabric, ctrl) = fabric_pair_traced(spec.nodes, faults.clone(), trace);
+    let gvt_core =
+        Arc::new(GvtSharedCore::new(Arc::clone(&stats), spec.nodes, spec.workers_per_node, &hooks));
+    let (fabric, ctrl) = fabric_pair(spec.nodes, &hooks);
     let nodes = (0..spec.nodes)
         .map(|n| Arc::new(NodeShared::new(NodeId(n), spec.workers_per_node)))
         .collect();
-    Arc::new(EngineShared { cfg, model, fabric, ctrl, nodes, gvt_core, stats, faults })
+    Arc::new(EngineShared { cfg, model, fabric, ctrl, nodes, gvt_core, stats })
 }
 
 /// Build every actor of a run: all workers plus (in dedicated mode) one
@@ -122,26 +93,8 @@ pub fn build_cluster<M: Model>(
                 })
                 .collect();
             let gvt = bundle.worker_gvt(node, lane, widx);
-            let mpi_duty = match spec.mpi_mode {
-                MpiMode::Dedicated => None,
-                MpiMode::InlineWorker if l == 0 => Some(MpiPump::with_poll_charging(
-                    node,
-                    Arc::clone(&shared),
-                    bundle.mpi_gvt(node),
-                    true,
-                    false,
-                    true,
-                )),
-                MpiMode::PerWorker if l == 0 => Some(MpiPump::with_poll_charging(
-                    node,
-                    Arc::clone(&shared),
-                    bundle.mpi_gvt(node),
-                    false,
-                    true,
-                    true,
-                )),
-                _ => None,
-            };
+            let mpi_duty = (spec.mpi_mode != MpiMode::Dedicated && l == 0)
+                .then(|| MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node)));
             workers.push(Worker::new(
                 ActorId(widx),
                 node,
@@ -193,7 +146,7 @@ pub fn build_cluster<M: Model>(
     if spec.mpi_mode == MpiMode::Dedicated {
         for n in 0..spec.nodes {
             let node = NodeId(n);
-            let pump = MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node), true, false);
+            let pump = MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node));
             actors.push(Box::new(MpiActor::new(ActorId(total_workers + n as u32), pump)));
         }
     }
@@ -232,17 +185,9 @@ pub fn run_virtual_with<M: Model>(
     vcfg: VirtualConfig,
     make_bundle: impl FnOnce(&Arc<EngineShared<M>>) -> Box<dyn GvtBundle>,
 ) -> RunReport {
-    // The injector set on the scheduler config also drives the fabric and
-    // MPI pumps, so one `vcfg.faults` perturbs every layer consistently;
-    // likewise one `vcfg.trace` observes every layer and one `vcfg.metrics`
-    // receives every GVT epoch.
-    let shared = build_shared_observed(
-        model,
-        cfg,
-        vcfg.faults.clone(),
-        vcfg.trace.clone(),
-        vcfg.metrics.clone(),
-    );
+    // The hooks on the scheduler config also drive every engine layer, so
+    // one `vcfg.hooks` perturbs and observes the whole run consistently.
+    let shared = build_shared_with(model, cfg, vcfg.hooks.clone());
     let bundle = make_bundle(&shared);
     let (actors, handles) = build_cluster(Arc::clone(&shared), &*bundle);
     let t0 = std::time::Instant::now();

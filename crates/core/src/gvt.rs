@@ -41,11 +41,10 @@
 //! algorithms.
 
 use cagvt_base::actor::WakeBoard;
+use cagvt_base::hooks::Hooks;
 use cagvt_base::ids::{LaneId, NodeId};
-use cagvt_base::metrics::{
-    EpochMode, MetricsEpoch, MetricsSink, SyncCause, BARRIER_A, BARRIER_B, BARRIER_C,
-};
-use cagvt_base::stats::Welford;
+use cagvt_base::metrics::{EpochMode, MetricsEpoch, SyncCause, BARRIER_A, BARRIER_B, BARRIER_C};
+use cagvt_base::stats::HorizonSample;
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::{TraceRecord, TraceSink};
 use cagvt_net::MsgClass;
@@ -54,6 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::event::WHITE_TAG;
+use crate::report::efficiency_of;
 use crate::stats::SharedStats;
 
 /// Wake channel of GVT transitions ([`GvtSharedCore::transition`]).
@@ -87,12 +87,12 @@ pub struct GvtSharedCore {
     /// Cluster statistics (efficiency for CA-GVT decisions, disparity
     /// sampling).
     pub stats: Arc<SharedStats>,
-    /// Observation hook shared by every instrumented layer (`None`: no
-    /// tracing; hot paths pay a single `Option` check).
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Per-GVT-epoch metrics hook (`None`: no metering; consulted once per
-    /// round, never on the event path).
-    pub metrics: Option<Arc<dyn MetricsSink>>,
+    /// The run's hooks. `trace` is shared by every instrumented layer
+    /// (`None`: no tracing; hot paths pay a single `Option` check);
+    /// `metrics` receives one epoch per round, never on the event path;
+    /// `faults` is consulted by the MPI pumps for stall windows and folded
+    /// into the run report.
+    pub(crate) hooks: Hooks,
     /// Cumulative counter totals at the previous epoch publication — the
     /// subtraction base for the windowed deltas. Metrics-private; only
     /// touched from [`GvtSharedCore::publish_epoch`].
@@ -117,26 +117,7 @@ struct EpochBase {
 }
 
 impl GvtSharedCore {
-    pub fn new(stats: Arc<SharedStats>, nodes: u16, workers_per_node: u16) -> Self {
-        Self::with_observers(stats, nodes, workers_per_node, None, None)
-    }
-
-    pub fn with_trace(
-        stats: Arc<SharedStats>,
-        nodes: u16,
-        workers_per_node: u16,
-        trace: Option<Arc<dyn TraceSink>>,
-    ) -> Self {
-        Self::with_observers(stats, nodes, workers_per_node, trace, None)
-    }
-
-    pub fn with_observers(
-        stats: Arc<SharedStats>,
-        nodes: u16,
-        workers_per_node: u16,
-        trace: Option<Arc<dyn TraceSink>>,
-        metrics: Option<Arc<dyn MetricsSink>>,
-    ) -> Self {
+    pub fn new(stats: Arc<SharedStats>, nodes: u16, workers_per_node: u16, hooks: &Hooks) -> Self {
         GvtSharedCore {
             round_requested: AtomicBool::new(false),
             published_gvt: AtomicU64::new(VirtualTime::ZERO.to_ordered_bits()),
@@ -147,8 +128,7 @@ impl GvtSharedCore {
             transitions: AtomicU64::new(0),
             mpi_queue_depth: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             stats,
-            trace,
-            metrics,
+            hooks: hooks.clone(),
             epoch_base: Mutex::new(EpochBase::default()),
             total_workers: nodes as u32 * workers_per_node as u32,
             nodes,
@@ -161,19 +141,19 @@ impl GvtSharedCore {
     /// round-boundary stores.
     #[inline]
     pub fn metrics_on(&self) -> bool {
-        matches!(&self.metrics, Some(m) if m.enabled())
+        matches!(&self.hooks.metrics, Some(m) if m.enabled())
     }
 
     /// Assemble and emit the [`MetricsEpoch`] for the round just
-    /// published. Called by worker 0 in its round-completion branch —
-    /// after the round's fossil pass, before the termination check, so the
-    /// final round is included.
+    /// published, whose LVT horizon is `horizon`. Called by worker 0 in its
+    /// round-completion branch — after the round's fossil pass, before the
+    /// termination check, so the final round is included.
     ///
     /// Read-only with respect to engine state (the only mutation is the
     /// metrics-private `epoch_base`) and charges no virtual time, which is
     /// what keeps metered runs bit-identical (`metrics_never_perturb`).
-    pub fn publish_epoch(&self, t: WallNs) {
-        let Some(sink) = self.metrics.as_deref() else { return };
+    pub fn publish_epoch(&self, t: WallNs, horizon: &HorizonSample) {
+        let Some(sink) = self.hooks.metrics.as_deref() else { return };
         if !sink.enabled() {
             return;
         }
@@ -213,22 +193,19 @@ impl GvtSharedCore {
         };
         drop(base);
 
-        // Horizon: per-worker LVT lag vs the freshly published GVT.
-        let mut lags = Vec::with_capacity(stats.worker_lvts.len());
-        let mut w = Welford::new();
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for lvt in &stats.worker_lvts {
-            let lvt = VirtualTime::from_ordered_bits(lvt.load(Ordering::Relaxed));
-            if lvt.is_finite() {
-                let lag = lvt.as_f64() - gvt_f;
-                lags.push(lag);
-                w.push(lag);
-                min = min.min(lag);
-                max = max.max(lag);
-            } else {
-                lags.push(f64::NAN);
-            }
-        }
+        // Per-worker LVT lag vs the freshly published GVT (NaN: no LVT).
+        let lags = stats
+            .worker_lvts
+            .iter()
+            .map(|lvt| {
+                let lvt = VirtualTime::from_ordered_bits(lvt.load(Ordering::Relaxed));
+                if lvt.is_finite() {
+                    lvt.as_f64() - gvt_f
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
 
         let depths: Vec<u64> =
             self.mpi_queue_depth.iter().map(|d| d.load(Ordering::Relaxed)).collect();
@@ -263,12 +240,12 @@ impl GvtSharedCore {
             annihilated_delta: epoch_deltas.5,
             msgs_sent_delta: epoch_deltas.1,
             msgs_received_delta: epoch_deltas.2,
-            efficiency_window: if dc + dr == 0 { 1.0 } else { dc as f64 / (dc + dr) as f64 },
+            efficiency_window: efficiency_of(dc, dr),
             efficiency_cum: stats.efficiency(),
             worker_lag: lags,
-            horizon_width: if max >= min { max - min } else { 0.0 },
-            horizon_roughness: w.std_dev(),
-            mean_lag: if w.count() > 0 { w.mean() } else { 0.0 },
+            horizon_width: horizon.width,
+            horizon_roughness: horizon.roughness,
+            mean_lag: if horizon.samples > 0 { horizon.mean - gvt_f } else { 0.0 },
             mpi_queue_depths: depths,
             mpi_queue_max,
             mode,
@@ -283,7 +260,7 @@ impl GvtSharedCore {
     /// plus one virtual call.
     #[inline]
     pub fn emit(&self, t: WallNs, rec: impl FnOnce() -> TraceRecord) {
-        if let Some(tr) = &self.trace {
+        if let Some(tr) = &self.hooks.trace {
             if tr.enabled() {
                 tr.record(t, &rec());
             }
@@ -294,7 +271,7 @@ impl GvtSharedCore {
     /// several records without re-checking).
     #[inline]
     pub fn tracing(&self) -> Option<&dyn TraceSink> {
-        match &self.trace {
+        match &self.hooks.trace {
             Some(tr) if tr.enabled() => Some(&**tr),
             _ => None,
         }
@@ -594,7 +571,7 @@ mod tests {
 
     fn core_with(workers: u32) -> Arc<GvtSharedCore> {
         let stats = Arc::new(SharedStats::new(workers));
-        Arc::new(GvtSharedCore::new(stats, 1, workers as u16))
+        Arc::new(GvtSharedCore::new(stats, 1, workers as u16, &Hooks::default()))
     }
 
     #[test]
@@ -638,13 +615,8 @@ mod tests {
 
         let stats = Arc::new(SharedStats::new(2));
         let sink = Arc::new(Capture(Mutex::new(Vec::new())));
-        let core = GvtSharedCore::with_observers(
-            Arc::clone(&stats),
-            1,
-            2,
-            None,
-            Some(sink.clone() as Arc<dyn MetricsSink>),
-        );
+        let hooks = Hooks { metrics: Some(sink.clone()), ..Default::default() };
+        let core = GvtSharedCore::new(Arc::clone(&stats), 1, 2, &hooks);
         assert!(core.metrics_on());
 
         stats.committed.store(80, Ordering::Relaxed);
@@ -652,7 +624,7 @@ mod tests {
         stats.worker_lvts[0].store(VirtualTime::new(6.0).to_ordered_bits(), Ordering::Relaxed);
         stats.worker_lvts[1].store(VirtualTime::new(4.0).to_ordered_bits(), Ordering::Relaxed);
         core.publish(VirtualTime::new(3.0), 1);
-        core.publish_epoch(WallNs(1_000));
+        core.publish_epoch(WallNs(1_000), &stats.horizon_sample());
 
         // Second round: +40 committed, +60 rolled back, with a CA-GVT
         // controller record for the round.
@@ -669,7 +641,7 @@ mod tests {
             efficiency_window: 0.4,
             cause: SyncCause::Efficiency,
         });
-        core.publish_epoch(WallNs(2_000));
+        core.publish_epoch(WallNs(2_000), &stats.horizon_sample());
 
         let epochs = sink.0.lock();
         assert_eq!(epochs.len(), 2);

@@ -39,8 +39,7 @@ pub mod stats;
 pub mod worker;
 
 pub use cluster::{
-    build_cluster, build_shared, build_shared_faulted, run_virtual, run_virtual_with,
-    ClusterHandles,
+    build_cluster, build_shared, build_shared_with, run_virtual, run_virtual_with, ClusterHandles,
 };
 pub use config::SimConfig;
 pub use event::{AntiMsg, Event, EventKey, EventMsg, RemoteEnv, TaggedMsg, WHITE_TAG};

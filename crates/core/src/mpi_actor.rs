@@ -15,6 +15,7 @@
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, NodeId};
 use cagvt_base::time::WallNs;
+use cagvt_net::MpiMode;
 use std::sync::Arc;
 
 use crate::event::RemoteEnv;
@@ -46,24 +47,13 @@ pub struct MpiPump<M: Model> {
 }
 
 impl<M: Model> MpiPump<M> {
-    pub fn new(
-        node: NodeId,
-        shared: Arc<EngineShared<M>>,
-        gvt_mpi: Box<dyn MpiGvt>,
-        handle_outbox: bool,
-        use_lock: bool,
-    ) -> Self {
-        Self::with_poll_charging(node, shared, gvt_mpi, handle_outbox, use_lock, false)
-    }
-
-    pub fn with_poll_charging(
-        node: NodeId,
-        shared: Arc<EngineShared<M>>,
-        gvt_mpi: Box<dyn MpiGvt>,
-        handle_outbox: bool,
-        use_lock: bool,
-        charge_poll: bool,
-    ) -> Self {
+    /// The pump of `node`, configured for the run's MPI mode.
+    pub fn new(node: NodeId, shared: Arc<EngineShared<M>>, gvt_mpi: Box<dyn MpiGvt>) -> Self {
+        let (handle_outbox, use_lock, charge_poll) = match shared.cfg.spec.mpi_mode {
+            MpiMode::Dedicated => (true, false, false),
+            MpiMode::InlineWorker => (true, false, true),
+            MpiMode::PerWorker => (false, true, true),
+        };
         let nshared = Arc::clone(&shared.nodes[node.index()]);
         MpiPump {
             node,
@@ -101,7 +91,7 @@ impl<M: Model> MpiPump<M> {
         let mut charge = if self.charge_poll { cost_model.mpi_poll } else { WallNs::ZERO };
         // A stalled MPI progress engine charges its stall before any
         // traffic moves: sends and receives all land after the stall.
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.shared.gvt_core.hooks.faults {
             charge += f.mpi_stall(self.node, now);
         }
 

@@ -53,9 +53,6 @@ pub struct EngineShared<M: Model> {
     pub nodes: Vec<Arc<NodeShared<M::Payload>>>,
     pub gvt_core: Arc<GvtSharedCore>,
     pub stats: Arc<SharedStats>,
-    /// Fault injector shared with the fabric and scheduler; consulted by
-    /// the MPI pumps for stall windows and folded into the run report.
-    pub faults: Option<Arc<dyn cagvt_base::fault::FaultInjector>>,
 }
 
 impl<M: Model> EngineShared<M> {
@@ -97,6 +94,7 @@ mod tests {
     use crate::gvt::GvtSharedCore;
     use crate::model::{Emitter, EventCtx};
     use cagvt_base::rng::Pcg32;
+    use cagvt_base::Hooks;
     use cagvt_net::fabric_pair;
 
     /// Minimal model for wiring tests.
@@ -122,16 +120,16 @@ mod tests {
         let mut cfg = SimConfig::small(nodes, workers);
         cfg.lps_per_worker = lps_per_worker;
         let stats = Arc::new(SharedStats::new(cfg.spec.total_workers()));
-        let (fabric, ctrl) = fabric_pair(nodes);
+        let hooks = Hooks::default();
+        let (fabric, ctrl) = fabric_pair(nodes, &hooks);
         EngineShared {
             cfg,
             model: Arc::new(Noop),
             fabric,
             ctrl,
             nodes: (0..nodes).map(|n| Arc::new(NodeShared::new(NodeId(n), workers))).collect(),
-            gvt_core: Arc::new(GvtSharedCore::new(Arc::clone(&stats), nodes, workers)),
+            gvt_core: Arc::new(GvtSharedCore::new(Arc::clone(&stats), nodes, workers, &hooks)),
             stats,
-            faults: None,
         }
     }
 

@@ -2,10 +2,12 @@
 //! statistics.
 
 use cagvt_base::metrics::SyncCause;
-use cagvt_base::stats::Welford;
+use cagvt_base::stats::{HorizonSample, Welford};
 use cagvt_base::time::{VirtualTime, WallNs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::report::efficiency_of;
 
 /// Counters owned (contention-free) by one worker, deposited into
 /// [`SharedStats`] when the worker finishes.
@@ -237,32 +239,26 @@ impl SharedStats {
     /// Cumulative efficiency: committed / (committed + rolled back), the
     /// paper's committed-over-generated ratio. 1.0 before any activity.
     pub fn efficiency(&self) -> f64 {
-        let committed = self.committed.load(Ordering::Relaxed) as f64;
-        let rolled = self.rolled_back.load(Ordering::Relaxed) as f64;
-        if committed + rolled == 0.0 {
-            1.0
-        } else {
-            committed / (committed + rolled)
-        }
+        efficiency_of(
+            self.committed.load(Ordering::Relaxed),
+            self.rolled_back.load(Ordering::Relaxed),
+        )
     }
 
-    /// Sample the published worker LVTs and record the round's disparity
-    /// (population std-dev, the paper's §4 metric) and horizon width
-    /// (max − min, Kolakowska–Novotny).
-    pub fn sample_disparity(&self) {
-        let mut w = Welford::new();
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for lvt in &self.worker_lvts {
-            let t = VirtualTime::from_ordered_bits(lvt.load(Ordering::Relaxed));
-            if t.is_finite() {
-                let t = t.as_f64();
-                w.push(t);
-                min = min.min(t);
-                max = max.max(t);
-            }
-        }
-        self.disparity.lock().push(w.std_dev());
-        self.horizon_width.lock().push(if max >= min { max - min } else { 0.0 });
+    /// The current LVT horizon: the published worker LVTs in worker order.
+    pub fn horizon_sample(&self) -> HorizonSample {
+        HorizonSample::of(
+            self.worker_lvts
+                .iter()
+                .map(|lvt| VirtualTime::from_ordered_bits(lvt.load(Ordering::Relaxed)).as_f64()),
+        )
+    }
+
+    /// Record one round's horizon: its roughness is the round's disparity
+    /// (the paper's §4 metric) and its width the Kolakowska–Novotny width.
+    pub fn record_horizon(&self, h: &HorizonSample) {
+        self.disparity.lock().push(h.roughness);
+        self.horizon_width.lock().push(h.width);
     }
 
     /// Refresh worker `widx`'s metric cell with a snapshot of its private
@@ -322,73 +318,18 @@ mod tests {
     }
 
     #[test]
-    fn disparity_sampling_uses_population_std_dev() {
+    fn horizon_sampling_records_roughness_and_width() {
         let s = SharedStats::new(4);
-        for (i, t) in [2.0, 4.0, 4.0, 6.0].iter().enumerate() {
+        for (i, t) in [2.0, 4.0, f64::INFINITY, 6.0].iter().enumerate() {
             s.worker_lvts[i].store(VirtualTime::new(*t).to_ordered_bits(), Ordering::Relaxed);
         }
-        s.sample_disparity();
+        let h = s.horizon_sample();
+        assert_eq!(h, HorizonSample::of([2.0, 4.0, 6.0]));
+        s.record_horizon(&h);
         let d = s.disparity.lock();
-        assert_eq!(d.count(), 1);
-        // mean 4, deviations [-2,0,0,2] -> variance 2 -> std ~1.414
-        assert!((d.mean() - 2.0_f64.sqrt()).abs() < 1e-12);
-        // Horizon width of {2,4,4,6} is 4.
-        let h = s.horizon_width.lock();
-        assert_eq!(h.count(), 1);
-        assert!((h.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disparity_sampling_with_no_finite_lvt_records_empty_round() {
-        // All workers idle at infinite LVT: the Welford window still gets
-        // one sample per round (std-dev of the empty set is 0) and the
-        // horizon width collapses to 0 rather than going negative/NaN.
-        let s = SharedStats::new(3);
-        for lvt in &s.worker_lvts {
-            lvt.store(VirtualTime::INFINITY.to_ordered_bits(), Ordering::Relaxed);
-        }
-        s.sample_disparity();
-        let d = s.disparity.lock();
-        assert_eq!(d.count(), 1);
-        assert_eq!(d.mean(), 0.0);
-        let h = s.horizon_width.lock();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn disparity_sampling_single_worker_has_zero_width() {
-        let s = SharedStats::new(1);
-        s.worker_lvts[0].store(VirtualTime::new(7.5).to_ordered_bits(), Ordering::Relaxed);
-        s.sample_disparity();
-        // One finite sample: std-dev 0, width max-min = 0.
-        assert_eq!(s.disparity.lock().mean(), 0.0);
-        assert_eq!(s.horizon_width.lock().mean(), 0.0);
-    }
-
-    #[test]
-    fn disparity_sampling_skips_infinite_lvts_in_mixed_rounds() {
-        // {2, inf, 6, inf}: only the finite pair contributes, so the width
-        // is 4 and the std-dev is that of {2, 6} = 2.
-        let s = SharedStats::new(4);
-        for (i, t) in [
-            VirtualTime::new(2.0),
-            VirtualTime::INFINITY,
-            VirtualTime::new(6.0),
-            VirtualTime::INFINITY,
-        ]
-        .iter()
-        .enumerate()
-        {
-            s.worker_lvts[i].store(t.to_ordered_bits(), Ordering::Relaxed);
-        }
-        s.sample_disparity();
-        let d = s.disparity.lock();
-        assert_eq!(d.count(), 1);
-        assert!((d.mean() - 2.0).abs() < 1e-12);
-        let h = s.horizon_width.lock();
-        assert_eq!(h.count(), 1);
-        assert!((h.mean() - 4.0).abs() < 1e-12);
+        assert_eq!((d.count(), d.mean()), (1, h.roughness));
+        let w = s.horizon_width.lock();
+        assert_eq!((w.count(), w.mean()), (1, 4.0));
     }
 
     #[test]

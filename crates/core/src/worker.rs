@@ -700,14 +700,19 @@ impl<M: Model> Worker<M> {
                     self.shared.stats.publish_worker_cell(self.widx, &self.counters);
                 }
                 if self.widx == 0 {
-                    self.shared.stats.sample_disparity();
+                    // One horizon sample per round feeds the report and the
+                    // metrics epoch; `HorizonStats::compute` repeats its
+                    // arithmetic on the trace snapshot below.
+                    let horizon = self.shared.stats.horizon_sample();
+                    self.shared.stats.record_horizon(&horizon);
                     self.shared.stats.progress.lock().push(crate::stats::ProgressSample {
                         gvt: gvt.as_f64(),
                         wall: now + charge,
                         committed: self.shared.stats.committed.load(Ordering::Relaxed),
                     });
                     // Horizon snapshot: the published GVT plus every finite
-                    // worker LVT, batched so `compute` can pair them up.
+                    // worker LVT, batched so `HorizonStats::compute` can pair
+                    // them up.
                     if let Some(tr) = self.shared.gvt_core.tracing() {
                         let t = now + charge;
                         let round = self.shared.gvt_core.published_round();
@@ -723,7 +728,7 @@ impl<M: Model> Worker<M> {
                     // fossil pass, before the termination check so the
                     // final round is included). Records only; charges no
                     // virtual time.
-                    self.shared.gvt_core.publish_epoch(now + charge);
+                    self.shared.gvt_core.publish_epoch(now + charge, &horizon);
                 }
                 if gvt >= cfg.end_vt() {
                     self.shared.gvt_core.signal_stop();

@@ -1,18 +1,17 @@
 //! Deterministic virtual-cluster scheduler.
 
 use cagvt_base::actor::{Actor, Park, StepOutcome, WakeBoard};
-use cagvt_base::fault::FaultInjector;
+use cagvt_base::hooks::Hooks;
 use cagvt_base::ids::ActorId;
-use cagvt_base::metrics::MetricsSink;
 use cagvt_base::time::WallNs;
-use cagvt_base::trace::{TraceRecord, TraceSink};
+use cagvt_base::trace::TraceRecord;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Tunables of the virtual scheduler.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct VirtualConfig {
     /// Minimum clock advance for a step that reported zero cost. Keeps
     /// virtual time strictly advancing so idle polling cannot livelock the
@@ -23,17 +22,11 @@ pub struct VirtualConfig {
     pub horizon: Option<WallNs>,
     /// Hard stop on total step count (debugging aid).
     pub max_steps: Option<u64>,
-    /// Fault injector consulted to scale each step's charged cost (node
-    /// straggle). `None` runs the cluster clean.
-    pub faults: Option<Arc<dyn FaultInjector>>,
-    /// Trace sink observing the run (actor retirements here; the engine
-    /// layers record through their own handles to the same sink). Purely
-    /// observational: recording never changes a charged cost.
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Per-GVT-epoch metrics sink (consumed by the engine's GVT core; the
-    /// scheduler itself never consults it). Same observational contract as
-    /// `trace`.
-    pub metrics: Option<Arc<dyn MetricsSink>>,
+    /// The run's hooks. The scheduler scales each step's charged cost
+    /// through `hooks.faults` (node straggle) and records actor
+    /// retirements to `hooks.trace`; the engine layers consult their own
+    /// copies of the same hooks. Recording never changes a charged cost.
+    pub hooks: Hooks,
 }
 
 impl Default for VirtualConfig {
@@ -42,23 +35,8 @@ impl Default for VirtualConfig {
             min_advance: WallNs(50),
             horizon: None,
             max_steps: None,
-            faults: None,
-            trace: None,
-            metrics: None,
+            hooks: Hooks::default(),
         }
-    }
-}
-
-impl std::fmt::Debug for VirtualConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VirtualConfig")
-            .field("min_advance", &self.min_advance)
-            .field("horizon", &self.horizon)
-            .field("max_steps", &self.max_steps)
-            .field("faults", &self.faults.is_some())
-            .field("trace", &self.trace.is_some())
-            .field("metrics", &self.metrics.is_some())
-            .finish()
     }
 }
 
@@ -289,7 +267,7 @@ impl VirtualScheduler {
             parking.resume(slot, id, clock);
             let result = actors[slot].step(now);
             steps += 1;
-            let cost = match &self.cfg.faults {
+            let cost = match &self.cfg.hooks.faults {
                 Some(f) => f.actor_cost(ActorId(id), now, result.cost),
                 None => result.cost,
             };
@@ -305,8 +283,10 @@ impl VirtualScheduler {
                     idle_steps += 1;
                     // A fault injector rescales every poll's cost, so the
                     // poll grid is unknown: keep polling.
-                    (self.cfg.faults.is_none() && advance > 0 && parking.can_park(&park, id, &ids))
-                        .then_some(park)
+                    (self.cfg.hooks.faults.is_none()
+                        && advance > 0
+                        && parking.can_park(&park, id, &ids))
+                    .then_some(park)
                 }
             };
             let (bits, posted) = parking.take_announced();
@@ -314,7 +294,7 @@ impl VirtualScheduler {
                 PeekMut::pop(top);
                 live -= 1;
                 final_time = final_time.max(now);
-                if let Some(tr) = &self.cfg.trace {
+                if let Some(tr) = &self.cfg.hooks.trace {
                     if tr.enabled() {
                         tr.record(now, &TraceRecord::ActorDone { actor: id });
                     }
@@ -511,7 +491,10 @@ mod tests {
                 left: 4,
                 trace: trace.clone(),
             })];
-            let cfg = VirtualConfig { faults, ..Default::default() };
+            let cfg = VirtualConfig {
+                hooks: Hooks { faults, ..Default::default() },
+                ..Default::default()
+            };
             let stats = VirtualScheduler::new(cfg).run(actors);
             assert!(stats.completed);
             stats.final_time
@@ -707,10 +690,9 @@ mod tests {
     fn fault_injector_falls_back_to_polling() {
         let board = Arc::new(WakeBoard::new(1));
         let (s, resumed) = sleeper(0, &board, Some(1_000));
-        let cfg = VirtualConfig {
-            faults: Some(Arc::new(cagvt_base::fault::NoFaults)),
-            ..Default::default()
-        };
+        let hooks =
+            Hooks { faults: Some(Arc::new(cagvt_base::fault::NoFaults)), ..Default::default() };
+        let cfg = VirtualConfig { hooks, ..Default::default() };
         let stats = VirtualScheduler::new(cfg).run(vec![Box::new(s)]);
         assert!(stats.completed);
         // Not parked: the next poll, at 150, is the resume step.

@@ -193,12 +193,13 @@ impl MpiGvt for BarrierMpi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_base::Hooks;
     use cagvt_core::stats::SharedStats;
     use cagvt_core::WorkerGvtOutcome;
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, BarrierBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, &Hooks::default()));
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle = BarrierBundle::new(Arc::clone(&core), spec, CostModel::knl_cluster());
         (core, bundle)

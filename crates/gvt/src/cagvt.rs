@@ -91,13 +91,14 @@ impl GvtBundle for CaGvtBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_base::Hooks;
     use cagvt_core::stats::SharedStats;
     use cagvt_net::fabric_pair;
 
     fn parts(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, Arc<CtrlPlane>, ClusterSpec) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
-        let (_fabric, ctrl) = fabric_pair::<()>(nodes);
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, &Hooks::default()));
+        let (_fabric, ctrl) = fabric_pair::<()>(nodes, &Hooks::default());
         (core, ctrl, ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated))
     }
 

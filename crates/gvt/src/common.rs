@@ -121,11 +121,16 @@ pub fn try_join_round(core: &GvtSharedCore, rounds_started: &AtomicU64, rounds_d
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_base::Hooks;
     use cagvt_core::stats::SharedStats;
 
     fn reduce(nodes: u16, wpn: u16) -> TwoLevelReduce {
         let stats = Arc::new(SharedStats::new(nodes as u32 * wpn as u32));
-        TwoLevelReduce::new(Arc::new(GvtSharedCore::new(stats, nodes, wpn)), nodes, wpn)
+        TwoLevelReduce::new(
+            Arc::new(GvtSharedCore::new(stats, nodes, wpn, &Hooks::default())),
+            nodes,
+            wpn,
+        )
     }
 
     /// Drive a full generation by hand: 2 nodes x 2 workers.

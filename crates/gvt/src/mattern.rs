@@ -630,14 +630,15 @@ impl MpiGvt for MatternMpi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_base::Hooks;
     use cagvt_core::stats::SharedStats;
     use cagvt_core::WorkerGvtOutcome;
     use cagvt_net::fabric_pair;
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, MatternBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
-        let (_fabric, ctrl) = fabric_pair::<()>(nodes);
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, &Hooks::default()));
+        let (_fabric, ctrl) = fabric_pair::<()>(nodes, &Hooks::default());
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle = MatternBundle::new(Arc::clone(&core), ctrl, spec, CostModel::knl_cluster());
         (core, bundle)

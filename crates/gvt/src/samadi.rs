@@ -203,11 +203,12 @@ impl MpiGvt for SamadiMpi {
 mod tests {
     use super::*;
     use cagvt_base::ids::LpId;
+    use cagvt_base::Hooks;
     use cagvt_core::stats::SharedStats;
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, SamadiBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, &Hooks::default()));
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         (Arc::clone(&core), SamadiBundle::new(core, spec, CostModel::knl_cluster()))
     }

@@ -30,7 +30,7 @@ struct Inner {
 
 /// In-memory metrics registry and exporter front-end. Construct, chain
 /// `with_*` exporters, wrap in an `Arc` and hand it to the engine as its
-/// `MetricsSink` (e.g. via `VirtualConfig::metrics`); read the recorded
+/// `MetricsSink` (e.g. as `Hooks::metrics`); read the recorded
 /// series back with [`MetricsRegistry::epochs`] after the run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {

@@ -17,9 +17,10 @@
 //! distinction lives.
 
 use cagvt_base::fault::{FaultInjector, LinkShape};
+use cagvt_base::hooks::Hooks;
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
-use cagvt_base::trace::{TraceRecord, TraceSink};
+use cagvt_base::trace::TraceRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,43 +52,28 @@ impl CtrlMsg {
 }
 
 /// Create the event plane and control plane sharing one set of NICs.
-pub fn fabric_pair<M: Send>(nodes: u16) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
-    fabric_pair_faulted(nodes, None)
-}
-
-/// [`fabric_pair`] with a fault injector: every inter-node message (both
-/// planes) is shaped through [`FaultInjector::link`], so degraded links and
-/// drop/retransmit recovery apply to event and GVT control traffic alike.
-pub fn fabric_pair_faulted<M: Send>(
-    nodes: u16,
-    faults: Option<Arc<dyn FaultInjector>>,
-) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
-    fabric_pair_traced(nodes, faults, None)
-}
-
-/// [`fabric_pair_faulted`] with a trace sink: the event plane samples its
-/// inbound inbox occupancy on every drain, giving the in-flight side of
-/// the MPI-queue picture (the outbound side is sampled by the MPI pumps).
-pub fn fabric_pair_traced<M: Send>(
-    nodes: u16,
-    faults: Option<Arc<dyn FaultInjector>>,
-    trace: Option<Arc<dyn TraceSink>>,
-) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
+///
+/// With `hooks.faults` every inter-node message (both planes) is shaped
+/// through [`FaultInjector::link`], so degraded links and drop/retransmit
+/// recovery apply to event and GVT control traffic alike. With
+/// `hooks.trace` the event plane samples its inbound inbox occupancy on
+/// every drain, giving the in-flight side of the MPI-queue picture (the
+/// outbound side is sampled by the MPI pumps).
+pub fn fabric_pair<M: Send>(nodes: u16, hooks: &Hooks) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
     let nics: Arc<Vec<Nic>> = Arc::new((0..nodes).map(|_| Nic::new()).collect());
     let fabric = Arc::new(MpiFabric {
         nodes,
         nics: Arc::clone(&nics),
         inboxes: (0..nodes).map(|_| Mailbox::new()).collect(),
         sent: AtomicU64::new(0),
-        faults: faults.clone(),
-        trace,
+        hooks: hooks.clone(),
     });
     let ctrl = Arc::new(CtrlPlane {
         nodes,
         nics,
         inboxes: (0..nodes).map(|_| Mailbox::new()).collect(),
         sent: AtomicU64::new(0),
-        faults,
+        faults: hooks.faults.clone(),
     });
     (fabric, ctrl)
 }
@@ -118,8 +104,7 @@ pub struct MpiFabric<M> {
     nics: Arc<Vec<Nic>>,
     inboxes: Vec<Mailbox<M>>,
     sent: AtomicU64,
-    faults: Option<Arc<dyn FaultInjector>>,
-    trace: Option<Arc<dyn TraceSink>>,
+    hooks: Hooks,
 }
 
 impl<M: Send> MpiFabric<M> {
@@ -139,7 +124,8 @@ impl<M: Send> MpiFabric<M> {
         cost: &CostModel,
     ) -> WallNs {
         debug_assert_ne!(from, to, "remote send to self");
-        let deliver_at = shaped_send(&self.faults, &self.nics[from.index()], from, to, now, cost);
+        let deliver_at =
+            shaped_send(&self.hooks.faults, &self.nics[from.index()], from, to, now, cost);
         self.inboxes[to.index()].push(deliver_at, msg);
         self.sent.fetch_add(1, Ordering::Relaxed);
         deliver_at
@@ -154,7 +140,7 @@ impl<M: Send> MpiFabric<M> {
     /// Batch-receive event messages at node `at`.
     pub fn drain_events(&self, at: NodeId, now: WallNs, max: usize, out: &mut Vec<M>) -> usize {
         let n = self.inboxes[at.index()].drain_ready_into(now, max, out);
-        if let Some(tr) = &self.trace {
+        if let Some(tr) = &self.hooks.trace {
             if tr.enabled() {
                 let depth = self.inboxes[at.index()].len() as u64;
                 tr.record(now, &TraceRecord::MpiQueue { node: at.0, depth, inbound: true });
@@ -238,7 +224,7 @@ mod tests {
 
     #[test]
     fn event_travels_with_wire_latency() {
-        let (fab, _ctrl) = fabric_pair::<u32>(2);
+        let (fab, _ctrl) = fabric_pair::<u32>(2, &Hooks::default());
         let at = fab.send_event(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
         assert_eq!(at.0, cm().wire_per_msg.0 + cm().wire_latency.0);
         assert_eq!(fab.recv_event(NodeId(1), WallNs(0)), None, "still in flight");
@@ -248,7 +234,7 @@ mod tests {
 
     #[test]
     fn fifo_per_destination_across_sources() {
-        let (fab, _ctrl) = fabric_pair::<u32>(3);
+        let (fab, _ctrl) = fabric_pair::<u32>(3, &Hooks::default());
         fab.send_event(NodeId(0), NodeId(2), WallNs(0), 1, &cm());
         fab.send_event(NodeId(1), NodeId(2), WallNs(0), 2, &cm());
         let mut out = Vec::new();
@@ -258,14 +244,14 @@ mod tests {
 
     #[test]
     fn ring_wraps_around() {
-        let (_fab, ctrl) = fabric_pair::<()>(4);
+        let (_fab, ctrl) = fabric_pair::<()>(4, &Hooks::default());
         assert_eq!(ctrl.ring_next(NodeId(0)), NodeId(1));
         assert_eq!(ctrl.ring_next(NodeId(3)), NodeId(0));
     }
 
     #[test]
     fn ctrl_plane_round_trip() {
-        let (_fab, ctrl) = fabric_pair::<()>(2);
+        let (_fab, ctrl) = fabric_pair::<()>(2, &Hooks::default());
         let msg = CtrlMsg { sum: -3, ..CtrlMsg::new(1, 9, NodeId(0)) };
         let at = ctrl.send(NodeId(0), NodeId(1), WallNs(100), msg, &cm());
         assert!(at > WallNs(100));
@@ -278,7 +264,7 @@ mod tests {
 
     #[test]
     fn single_node_ctrl_self_loop_is_immediate() {
-        let (_fab, ctrl) = fabric_pair::<()>(1);
+        let (_fab, ctrl) = fabric_pair::<()>(1, &Hooks::default());
         assert_eq!(ctrl.ring_next(NodeId(0)), NodeId(0));
         let at = ctrl.send(NodeId(0), NodeId(0), WallNs(5), CtrlMsg::new(0, 1, NodeId(0)), &cm());
         assert_eq!(at, WallNs(5));
@@ -287,7 +273,7 @@ mod tests {
 
     #[test]
     fn inbox_len_counts_in_flight() {
-        let (fab, _ctrl) = fabric_pair::<u8>(2);
+        let (fab, _ctrl) = fabric_pair::<u8>(2, &Hooks::default());
         fab.send_event(NodeId(0), NodeId(1), WallNs(0), 1, &cm());
         fab.send_event(NodeId(0), NodeId(1), WallNs(0), 2, &cm());
         assert_eq!(fab.event_inbox_len(NodeId(1)), 2);
@@ -321,7 +307,10 @@ mod tests {
             }
         }
 
-        let (fab, ctrl) = fabric_pair_faulted::<u32>(2, Some(Arc::new(DegradeForward)));
+        let (fab, ctrl) = fabric_pair::<u32>(
+            2,
+            &Hooks { faults: Some(Arc::new(DegradeForward)), ..Default::default() },
+        );
         let fwd = fab.send_event(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
         assert_eq!(fwd.0, cm().wire_per_msg.0 + 3 * cm().wire_latency.0 + 1_000_000);
         // Delayed, not lost: the message still arrives exactly once.
@@ -337,7 +326,7 @@ mod tests {
 
     #[test]
     fn ctrl_and_events_share_the_nic() {
-        let (fab, ctrl) = fabric_pair::<u8>(2);
+        let (fab, ctrl) = fabric_pair::<u8>(2, &Hooks::default());
         // Burst of events books the NIC ahead...
         for i in 0..10 {
             fab.send_event(NodeId(0), NodeId(1), WallNs(0), i, &cm());

@@ -10,9 +10,12 @@
 //! speculation that fossil collection lags behind).
 //!
 //! Statistics are computed from the `Lvt` snapshot records that follow
-//! each `GvtPublish` in a recorded stream.
+//! each `GvtPublish` in a recorded stream, with the engine's own
+//! [`HorizonSample`] arithmetic, so they equal what the run report and the
+//! metrics epochs saw.
 
 use crate::ring::TraceEvent;
+use cagvt_base::stats::HorizonSample;
 use cagvt_base::TraceRecord;
 use std::fmt::Write as _;
 
@@ -64,23 +67,19 @@ impl HorizonStats {
         let mut rounds: Vec<RoundHorizon> = Vec::new();
         let close = |o: Option<Open>, rounds: &mut Vec<RoundHorizon>| {
             let Some(o) = o else { return };
-            if o.lvts.is_empty() {
+            let h = HorizonSample::of(o.lvts);
+            if h.samples == 0 {
                 return;
             }
-            let n = o.lvts.len() as f64;
-            let mean = o.lvts.iter().sum::<f64>() / n;
-            let min = o.lvts.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = o.lvts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let var = o.lvts.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / n;
             rounds.push(RoundHorizon {
                 round: o.round,
                 t_ns: o.t_ns,
                 gvt: o.gvt,
-                mean_lvt: mean,
-                width: max - min,
-                roughness: var.sqrt(),
+                mean_lvt: h.mean,
+                width: h.width,
+                roughness: h.roughness,
                 utilization: None,
-                samples: o.lvts.len() as u32,
+                samples: h.samples,
             });
         };
         for ev in events {
@@ -94,9 +93,7 @@ impl HorizonStats {
                 }
                 TraceRecord::Lvt { lvt, .. } => {
                     if let Some(o) = open.as_mut() {
-                        if lvt.is_finite() {
-                            o.lvts.push(lvt.as_f64());
-                        }
+                        o.lvts.push(lvt.as_f64());
                     }
                 }
                 _ => {}

@@ -30,10 +30,8 @@ fn traced_run_at(kind: GvtKind, gvt_interval: u64) -> (Arc<TraceRecorder>, RunRe
     let workload = comm_dominated(&cfg);
     let recorder = TraceRecorder::new();
     let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig {
-        trace: Some(recorder.clone() as Arc<dyn cagvt_base::TraceSink>),
-        ..Default::default()
-    };
+    let hooks = cagvt_base::Hooks { trace: Some(recorder.clone()), ..Default::default() };
+    let vcfg = VirtualConfig { hooks, ..Default::default() };
     let report = run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared));
     (recorder, report)
 }

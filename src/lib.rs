@@ -58,12 +58,11 @@ pub use cagvt_trace as trace;
 /// The commonly-needed imports in one place.
 pub mod prelude {
     pub use cagvt_base::{
-        Actor, FaultInjector, FaultStats, LpId, MetricsEpoch, MetricsSink, NoFaults, NullMetrics,
-        NullTrace, TraceSink, VirtualTime, WallNs,
+        Actor, FaultInjector, FaultStats, Hooks, LpId, MetricsEpoch, MetricsSink, NoFaults,
+        NullMetrics, NullTrace, TraceSink, VirtualTime, WallNs,
     };
     pub use cagvt_core::cluster::{
-        build_cluster, build_shared, build_shared_faulted, build_shared_observed, run_virtual,
-        run_virtual_with,
+        build_cluster, build_shared, build_shared_with, run_virtual, run_virtual_with,
     };
     pub use cagvt_core::model::{Emitter, EventCtx, Model};
     pub use cagvt_core::seq::SequentialSim;

@@ -2,6 +2,7 @@
 //! real models) against the sequential reference, on both execution
 //! substrates.
 
+use cagvt::base::Welford;
 use cagvt::core::cluster::{build_cluster, build_shared};
 use cagvt::prelude::*;
 use cagvt_exec::VirtualRunStats;
@@ -186,20 +187,58 @@ fn gvt_interval_changes_round_count_not_results() {
 }
 
 #[test]
-fn report_csv_shapes_are_stable() {
+fn report_display_names_algorithm_and_efficiency() {
     let mut cfg = SimConfig::small(1, 2);
     cfg.end_time = 10.0;
     let workload = comp_dominated(&cfg);
     let report =
         run_virtual(Arc::new(workload.model), cfg, |shared| make_bundle(GvtKind::Barrier, shared));
-    assert_eq!(
-        report.csv_row().split(',').count(),
-        cagvt::core::RunReport::csv_header().split(',').count()
-    );
-    // Display must mention the algorithm and the efficiency.
     let text = format!("{report}");
     assert!(text.contains("barrier"));
     assert!(text.contains("efficiency"));
+}
+
+/// The report, the trace's horizon statistics and the metrics epochs read
+/// one horizon sample per GVT round: a traced and metered run of each
+/// algorithm agrees bit for bit on every round's width and roughness and on
+/// its mean LVT lag, and the report averages the epochs' values.
+#[test]
+fn horizon_consumers_read_one_sample_per_round() {
+    let mut cfg = SimConfig::small(2, 3);
+    cfg.end_time = 20.0;
+    let workload = comm_dominated(&cfg);
+    for kind in all_kinds() {
+        let recorder = TraceRecorder::new();
+        let registry = Arc::new(MetricsRegistry::new());
+        let hooks = Hooks {
+            trace: Some(recorder.clone()),
+            metrics: Some(registry.clone()),
+            ..Default::default()
+        };
+        let vcfg = VirtualConfig { hooks, ..Default::default() };
+        let report = run_virtual_with(Arc::new(workload.model.clone()), cfg, vcfg, |shared| {
+            make_bundle(kind, shared)
+        });
+        assert!(report.completed);
+        assert_eq!(recorder.dropped(), 0, "{kind:?}: the trace must hold every round");
+        let rounds = HorizonStats::compute(&recorder.snapshot()).rounds;
+        let epochs = registry.epochs();
+        assert!(!epochs.is_empty(), "{kind:?}: no GVT round completed");
+        assert_eq!(rounds.len(), epochs.len(), "{kind:?}: one traced snapshot per epoch");
+        for (r, e) in rounds.iter().zip(&epochs) {
+            assert_eq!(r.round, e.round);
+            assert_eq!(r.width.to_bits(), e.horizon_width.to_bits(), "{kind:?} round {}", r.round);
+            assert_eq!(r.roughness.to_bits(), e.horizon_roughness.to_bits(), "{kind:?}");
+            assert_eq!((r.mean_lvt - r.gvt).to_bits(), e.mean_lag.to_bits(), "{kind:?}");
+        }
+        let (mut disparity, mut width) = (Welford::new(), Welford::new());
+        for e in &epochs {
+            disparity.push(e.horizon_roughness);
+            width.push(e.horizon_width);
+        }
+        assert_eq!(report.lvt_disparity.to_bits(), disparity.mean().to_bits(), "{kind:?}");
+        assert_eq!(report.horizon_width.to_bits(), width.mean().to_bits(), "{kind:?}");
+    }
 }
 
 #[test]

@@ -33,8 +33,10 @@ fn injector(cfg: &SimConfig, severity: f64, seed: u64) -> (Arc<FaultRuntime>, Fa
 }
 
 fn run_faulted(kind: GvtKind, cfg: SimConfig, faults: Arc<FaultRuntime>) -> RunReport {
-    let vcfg =
-        VirtualConfig { faults: Some(faults as Arc<dyn FaultInjector>), ..Default::default() };
+    let vcfg = VirtualConfig {
+        hooks: Hooks { faults: Some(faults), ..Default::default() },
+        ..Default::default()
+    };
     run_virtual_with(Arc::new(model()), cfg, vcfg, |shared| make_bundle(kind, shared))
 }
 
@@ -114,15 +116,11 @@ fn faults_slow_the_run_but_not_the_results() {
 fn gvt_remains_monotonic_under_faults() {
     let cfg = config();
     let (faults, _) = injector(&cfg, 0.9, 0x60_0D);
-    let shared = build_shared_faulted(
-        Arc::new(model()),
-        cfg,
-        Some(faults.clone() as Arc<dyn FaultInjector>),
-    );
+    let hooks = Hooks { faults: Some(faults), ..Default::default() };
+    let shared = build_shared_with(Arc::new(model()), cfg, hooks.clone());
     let bundle = make_bundle(GvtKind::Mattern, &shared);
     let (actors, handles) = build_cluster(Arc::clone(&shared), &*bundle);
-    let vcfg =
-        VirtualConfig { faults: Some(faults as Arc<dyn FaultInjector>), ..Default::default() };
+    let vcfg = VirtualConfig { hooks, ..Default::default() };
     let stats = VirtualScheduler::new(vcfg).run(actors);
     assert!(stats.completed);
     let samples = handles.shared.stats.progress.lock();

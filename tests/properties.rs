@@ -99,18 +99,12 @@ proptest! {
 
         let run = || {
             let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
-            let shared = build_shared_faulted(
-                Arc::new(model.clone()),
-                cfg,
-                Some(rt.clone() as Arc<dyn FaultInjector>),
-            );
+            let hooks = Hooks { faults: Some(rt), ..Default::default() };
+            let shared = build_shared_with(Arc::new(model.clone()), cfg, hooks.clone());
             let bundle = make_bundle(kind, &shared);
             let (actors, handles) =
                 cagvt::core::cluster::build_cluster(Arc::clone(&shared), &*bundle);
-            let vcfg = VirtualConfig {
-                faults: Some(rt as Arc<dyn FaultInjector>),
-                ..Default::default()
-            };
+            let vcfg = VirtualConfig { hooks, ..Default::default() };
             let stats = VirtualScheduler::new(vcfg).run(actors);
             let report =
                 cagvt::core::RunReport::assemble(bundle.name(), &handles.shared, stats);
@@ -182,7 +176,8 @@ proptest! {
         let model = phold_for(&cfg, 0.2, remote, 2_000);
 
         let run = |trace: Option<Arc<dyn TraceSink>>| {
-            let vcfg = VirtualConfig { trace, ..Default::default() };
+            let hooks = Hooks { trace, ..Default::default() };
+            let vcfg = VirtualConfig { hooks, ..Default::default() };
             run_virtual_with(Arc::new(model.clone()), cfg, vcfg, |shared| {
                 make_bundle(kind, shared)
             })
@@ -213,8 +208,7 @@ proptest! {
         let faulted = |trace: Option<Arc<dyn TraceSink>>| {
             let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
             let vcfg = VirtualConfig {
-                faults: Some(rt as Arc<dyn FaultInjector>),
-                trace,
+                hooks: Hooks { faults: Some(rt), trace, ..Default::default() },
                 ..Default::default()
             };
             run_virtual_with(Arc::new(model.clone()), cfg, vcfg, |shared| {
@@ -252,7 +246,8 @@ proptest! {
         let model = phold_for(&cfg, 0.2, remote, 2_000);
 
         let run = |metrics: Option<Arc<dyn MetricsSink>>| {
-            let vcfg = VirtualConfig { metrics, ..Default::default() };
+            let hooks = Hooks { metrics, ..Default::default() };
+            let vcfg = VirtualConfig { hooks, ..Default::default() };
             run_virtual_with(Arc::new(model.clone()), cfg, vcfg, |shared| {
                 make_bundle(kind, shared)
             })
@@ -292,8 +287,7 @@ proptest! {
         let faulted = |metrics: Option<Arc<dyn MetricsSink>>| {
             let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
             let vcfg = VirtualConfig {
-                faults: Some(rt as Arc<dyn FaultInjector>),
-                metrics,
+                hooks: Hooks { faults: Some(rt), metrics, ..Default::default() },
                 ..Default::default()
             };
             run_virtual_with(Arc::new(model.clone()), cfg, vcfg, |shared| {
@@ -333,9 +327,9 @@ impl Actor for NoPark {
     }
 }
 
-/// Which observation hooks a run carries.
+/// Which observation hook a run carries.
 #[derive(Clone, Copy, Debug)]
-enum Hooks {
+enum Observer {
     None,
     Trace,
     Metrics,
@@ -348,21 +342,23 @@ fn parking_run(
     kind: GvtKind,
     model: &PholdModel,
     cfg: SimConfig,
-    hooks: Hooks,
+    observer: Observer,
     polled: bool,
     horizon: Option<WallNs>,
 ) -> (u64, RunReport) {
-    let trace = matches!(hooks, Hooks::Trace).then(|| TraceRecorder::new() as Arc<dyn TraceSink>);
-    let metrics = matches!(hooks, Hooks::Metrics)
-        .then(|| Arc::new(MetricsRegistry::new()) as Arc<dyn MetricsSink>);
-    let shared =
-        build_shared_observed(Arc::new(model.clone()), cfg, None, trace.clone(), metrics.clone());
+    let hooks = Hooks {
+        trace: matches!(observer, Observer::Trace).then(|| TraceRecorder::new() as _),
+        metrics: matches!(observer, Observer::Metrics)
+            .then(|| Arc::new(MetricsRegistry::new()) as _),
+        ..Default::default()
+    };
+    let shared = build_shared_with(Arc::new(model.clone()), cfg, hooks.clone());
     let bundle = make_bundle(kind, &shared);
     let (mut actors, handles) = build_cluster(Arc::clone(&shared), &*bundle);
     if polled {
         actors = actors.into_iter().map(|a| Box::new(NoPark(a)) as Box<dyn Actor>).collect();
     }
-    let vcfg = VirtualConfig { trace, metrics, horizon, ..Default::default() };
+    let vcfg = VirtualConfig { hooks, horizon, ..Default::default() };
     let stats = VirtualScheduler::new(vcfg).run(actors);
     let mut report = RunReport::assemble(bundle.name(), &handles.shared, stats);
     report.sched_steps = 0;
@@ -403,10 +399,10 @@ proptest! {
         let model =
             if comm { comm_dominated(&cfg).model } else { comp_dominated(&cfg).model };
         let seq = SequentialSim::new(Arc::new(model.clone()), cfg).run();
-        for hooks in [Hooks::None, Hooks::Trace, Hooks::Metrics] {
-            let (parked_steps, parked) = parking_run(kind, &model, cfg, hooks, false, None);
-            let (polled_steps, polled) = parking_run(kind, &model, cfg, hooks, true, None);
-            prop_assert_eq!(format!("{parked:?}"), format!("{polled:?}"), "{:?}", hooks);
+        for observer in [Observer::None, Observer::Trace, Observer::Metrics] {
+            let (parked_steps, parked) = parking_run(kind, &model, cfg, observer, false, None);
+            let (polled_steps, polled) = parking_run(kind, &model, cfg, observer, true, None);
+            prop_assert_eq!(format!("{parked:?}"), format!("{polled:?}"), "{:?}", observer);
             prop_assert!(parked_steps < polled_steps, "{parked_steps} vs {polled_steps} steps");
             prop_assert!(parked.completed);
             prop_assert_eq!(parked.committed, seq.processed);
@@ -429,15 +425,15 @@ fn parking_never_perturbs_a_cut_off_run() {
     for kind in kinds {
         for comm in [false, true] {
             let model = if comm { comm_dominated(&cfg).model } else { comp_dominated(&cfg).model };
-            let (_, full) = parking_run(kind, &model, cfg, Hooks::None, false, None);
+            let (_, full) = parking_run(kind, &model, cfg, Observer::None, false, None);
             assert!(full.completed);
             // Cut mid-run, and just before the last worker finishes (the
             // others have deposited their counters by then).
             let makespan = (full.sim_seconds * 1e9) as u64;
             for cut in [makespan / 3, 2 * makespan / 3, makespan - 1] {
                 let horizon = Some(WallNs(cut));
-                let (_, parked) = parking_run(kind, &model, cfg, Hooks::None, false, horizon);
-                let (_, polled) = parking_run(kind, &model, cfg, Hooks::None, true, horizon);
+                let (_, parked) = parking_run(kind, &model, cfg, Observer::None, false, horizon);
+                let (_, polled) = parking_run(kind, &model, cfg, Observer::None, true, horizon);
                 assert!(!parked.completed, "{kind:?} comm={comm} cut at {cut}");
                 assert_eq!(
                     format!("{parked:?}"),
