@@ -5,8 +5,7 @@
 //! figure (committed event rate vs node count); the `stats`, `epg_sweep`,
 //! `ca_trace` and sweep functions cover the in-text tables and the
 //! ablations listed in DESIGN.md. The `figures` binary formats these as
-//! CSV; the Criterion benches under `benches/` time scaled-down instances
-//! of the same configurations.
+//! CSV.
 //!
 //! Scale: [`Scale::paper`] is the paper's geometry (60 workers and 128 LPs
 //! per worker per node); [`Scale::default`] keeps the 60-workers-per-MPI
@@ -14,7 +13,6 @@
 //! horizon so a full figure regenerates in seconds under the virtual
 //! scheduler.
 
-pub mod bench_summary;
 pub mod runner;
 pub mod summary;
 

@@ -1,6 +1,7 @@
-//! Command-line errors of the `figures` binary: bad input is a usage error
-//! with exit code 2, an unusable output directory an error with exit code
-//! 1, never a panic, and either stops the run before any mode runs.
+//! Command-line behaviour of the `figures` binary: bad input is a usage
+//! error with exit code 2, an unusable output directory an error with exit
+//! code 1, never a panic, and either stops the run before any mode runs. A
+//! run without `--out` writes nothing to disk.
 
 use std::process::Command;
 
@@ -50,4 +51,21 @@ fn an_uncreatable_out_directory_is_an_error() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!stderr.contains("# fig3:"), "fig3 ran before the error: {stderr}");
     assert!(out.stdout.is_empty(), "no rows before the error");
+}
+
+#[test]
+fn a_run_without_out_leaves_the_current_directory_empty() {
+    let cwd = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures-cli-empty-cwd");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create an empty directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig5", "--bench-scale"])
+        .env("CAGVT_SWEEP_THREADS", "1")
+        .current_dir(&cwd)
+        .output()
+        .expect("run figures");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.stdout.is_empty(), "rows go to stdout");
+    let left: Vec<_> = std::fs::read_dir(&cwd).expect("read the directory").collect();
+    assert!(left.is_empty(), "figures wrote files into its working directory: {left:?}");
 }

@@ -111,25 +111,21 @@ pub fn build_cluster<M: Model>(
     // the events to their owning workers' pending sets.
     let mut emitter: Emitter<M::Payload> = Emitter::new();
     let mut seeds: Vec<(u32, Event<M::Payload>)> = Vec::new();
-    for w in 0..total_workers {
-        let worker = &mut workers[w as usize];
-        for k in 0..cfg.lps_per_worker {
-            let src = LpId(worker_first_lp(&shared, w) + k);
-            let (lp_seeds, _) = {
-                let lp = worker_lp_mut(worker, k as usize);
+    for n in 0..spec.nodes {
+        for l in 0..spec.workers_per_node {
+            let (node, lane) = (NodeId(n), LaneId(l));
+            let worker = &mut workers[shared.worker_index(node, lane) as usize];
+            let first = shared.first_lp(node, lane);
+            for k in 0..cfg.lps_per_worker {
+                let src = LpId(first.0 + k);
+                let lp = worker.lp_mut(k as usize);
                 lp.seed_initial(&*shared.model, &mut emitter);
-                let collected: Vec<(LpId, f64, M::Payload)> = emitter.take().collect();
-                let mut out = Vec::with_capacity(collected.len());
-                for (dst, delay, payload) in collected {
+                for (dst, delay, payload) in emitter.take() {
                     let id = EventId::new(src, lp.next_seq());
-                    out.push(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
+                    let (dn, dl) = shared.locate(dst);
+                    let e = Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload };
+                    seeds.push((shared.worker_index(dn, dl), e));
                 }
-                (out, ())
-            };
-            for e in lp_seeds {
-                let (dn, dl) = shared.locate(e.dst);
-                let dst_widx = shared.worker_index(dn, dl);
-                seeds.push((dst_widx, e));
             }
         }
     }
@@ -152,14 +148,6 @@ pub fn build_cluster<M: Model>(
     }
 
     (actors, ClusterHandles { shared })
-}
-
-fn worker_first_lp<M: Model>(shared: &EngineShared<M>, widx: u32) -> u32 {
-    widx * shared.cfg.lps_per_worker
-}
-
-fn worker_lp_mut<M: Model>(worker: &mut Worker<M>, k: usize) -> &mut LpRuntime<M> {
-    worker.lp_mut(k)
 }
 
 /// Build and run a complete simulation under the deterministic virtual
@@ -190,10 +178,6 @@ pub fn run_virtual_with<M: Model>(
     let shared = build_shared_with(model, cfg, vcfg.hooks.clone());
     let bundle = make_bundle(&shared);
     let (actors, handles) = build_cluster(Arc::clone(&shared), &*bundle);
-    let t0 = std::time::Instant::now();
     let stats = VirtualScheduler::new(vcfg).run(actors);
-    let host_seconds = t0.elapsed().as_secs_f64();
-    let mut report = RunReport::assemble(bundle.name(), &handles.shared, stats);
-    report.host_seconds = host_seconds;
-    report
+    RunReport::assemble(bundle.name(), &handles.shared, stats)
 }

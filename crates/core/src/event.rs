@@ -79,14 +79,16 @@ pub enum EventMsg<P> {
 }
 
 impl<P> EventMsg<P> {
-    /// Receive time of the carried message (the timestamp GVT algorithms
-    /// account for; for an ack, the acknowledged message's time).
+    /// `(id, recv_time, anti)` of the carried message: what sends, receives
+    /// and acks are traced and tracked by (`recv_time` is the timestamp GVT
+    /// algorithms account for). For an ack, those of the acknowledged
+    /// message.
     #[inline]
-    pub fn recv_time(&self) -> VirtualTime {
+    pub fn identity(&self) -> (EventId, VirtualTime, bool) {
         match self {
-            EventMsg::Event(e) => e.recv_time,
-            EventMsg::Anti(a) => a.recv_time,
-            EventMsg::Ack(a) => a.recv_time,
+            EventMsg::Event(e) => (e.id, e.recv_time, false),
+            EventMsg::Anti(a) => (a.id, a.recv_time, true),
+            EventMsg::Ack(a) => (a.id, a.recv_time, a.anti),
         }
     }
 
@@ -153,14 +155,14 @@ mod tests {
     fn event_msg_accessors() {
         let e = ev(1.0, 1, 1);
         let msg: EventMsg<()> = EventMsg::Event(e.clone());
-        assert_eq!(msg.recv_time(), e.recv_time);
+        assert_eq!(msg.identity(), (e.id, e.recv_time, false));
         assert_eq!(msg.dst(), e.dst);
         let anti = EventMsg::<()>::Anti(AntiMsg {
             recv_time: VirtualTime::new(9.0),
             dst: LpId(4),
             id: EventId::new(LpId(1), 2),
         });
-        assert_eq!(anti.recv_time(), VirtualTime::new(9.0));
+        assert_eq!(anti.identity(), (EventId::new(LpId(1), 2), VirtualTime::new(9.0), true));
         assert_eq!(anti.dst(), LpId(4));
     }
 }

@@ -122,11 +122,6 @@ pub struct RunReport {
     /// short horizons would otherwise dominate. Falls back to
     /// `committed_rate` when the run had too few rounds to window.
     pub steady_rate: f64,
-    /// Host wall-clock seconds the run took under the scheduler that
-    /// produced it (set by the run drivers; 0.0 when not measured). This
-    /// is real time on the machine running the simulation, not simulated
-    /// cluster time — the quantity the bench trajectory tracks.
-    pub host_seconds: f64,
 
     pub gvt_rounds: u64,
     /// GVT rounds completed inside the steady-state measurement window.
@@ -231,7 +226,6 @@ impl RunReport {
             sim_seconds,
             committed_rate: safe_rate(committed as f64, sim_seconds),
             steady_rate,
-            host_seconds: 0.0,
             gvt_rounds: shared.gvt_core.published_round(),
             window_rounds,
             gvt_time_mean: w.gvt_time.as_secs_f64() / total_workers,
@@ -351,7 +345,6 @@ mod tests {
             sim_seconds: 1.0,
             committed_rate: 90.0,
             steady_rate: 90.0,
-            host_seconds: 0.5,
             gvt_rounds: 5,
             window_rounds: 3,
             gvt_time_mean: 0.01,

@@ -183,18 +183,14 @@ impl<M: Model> Worker<M> {
         let dst = msg.dst();
         let (dst_node, dst_lane) = self.shared.locate(dst);
         let is_ack = matches!(msg, EventMsg::Ack(_));
+        let (id, recv_time, anti) = msg.identity();
         if !is_ack {
-            let (id, vt, anti) = match &msg {
-                EventMsg::Event(e) => (e.id, e.recv_time, false),
-                EventMsg::Anti(a) => (a.id, a.recv_time, true),
-                EventMsg::Ack(_) => unreachable!(),
-            };
             let (worker, remote) = (self.widx, dst_node != self.node);
             self.shared.gvt_core.emit(now, || TraceRecord::MsgSend {
                 worker,
                 id,
                 dst,
-                vt,
+                vt: recv_time,
                 anti,
                 remote,
             });
@@ -221,7 +217,6 @@ impl<M: Model> Worker<M> {
         if matches!(msg, EventMsg::Anti(_)) {
             self.counters.antis_sent += 1;
         }
-        let recv_time = msg.recv_time();
         // Acknowledgements are GVT-algorithm bookkeeping, not simulation
         // messages: they carry no color tag and stay out of the in-transit
         // accounting (they can never cause a rollback). Samadi tracks the
@@ -231,11 +226,6 @@ impl<M: Model> Worker<M> {
         } else {
             self.shared.stats.msgs_sent.fetch_add(1, Ordering::Release);
             if self.acks_enabled {
-                let (id, anti) = match &msg {
-                    EventMsg::Event(e) => (e.id, false),
-                    EventMsg::Anti(a) => (a.id, true),
-                    EventMsg::Ack(_) => unreachable!(),
-                };
                 self.gvt.on_send_tracked(id, recv_time, anti);
             }
         }
@@ -377,38 +367,19 @@ impl<M: Model> Worker<M> {
             self.counters.received_msgs += 1;
             self.shared.stats.msgs_received.fetch_add(1, Ordering::Release);
             self.gvt.on_recv(tagged.tag, MsgClass::Regional);
+            let (id, vt, anti) = tagged.msg.identity();
             if self.acks_enabled {
-                let ack = match &tagged.msg {
-                    EventMsg::Event(e) => crate::event::AckMsg {
-                        id: e.id,
-                        recv_time: e.recv_time,
-                        anti: false,
-                        marked: self.gvt.mark_acks(),
-                    },
-                    EventMsg::Anti(a) => crate::event::AckMsg {
-                        id: a.id,
-                        recv_time: a.recv_time,
-                        anti: true,
-                        marked: self.gvt.mark_acks(),
-                    },
-                    EventMsg::Ack(_) => unreachable!(),
-                };
+                let marked = self.gvt.mark_acks();
+                let ack = crate::event::AckMsg { id, recv_time: vt, anti, marked };
                 charge += self.route(now + charge, EventMsg::Ack(ack));
             }
-            {
-                let worker = self.widx;
-                let (id, vt, anti) = match &tagged.msg {
-                    EventMsg::Event(e) => (e.id, e.recv_time, false),
-                    EventMsg::Anti(a) => (a.id, a.recv_time, true),
-                    EventMsg::Ack(_) => unreachable!(),
-                };
-                self.shared.gvt_core.emit(now + charge, || TraceRecord::MsgRecv {
-                    worker,
-                    id,
-                    vt,
-                    anti,
-                });
-            }
+            let worker = self.widx;
+            self.shared.gvt_core.emit(now + charge, || TraceRecord::MsgRecv {
+                worker,
+                id,
+                vt,
+                anti,
+            });
             match tagged.msg {
                 EventMsg::Event(e) => {
                     if !self.pending.insert(e) {
